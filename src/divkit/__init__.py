@@ -68,10 +68,12 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     cosine_kernel,
+    cross,
     gaussian_kernel,
     gram,
     hadamard_square,
     load_gram,
+    paired,
     save_gram,
 )
 from .projection import (

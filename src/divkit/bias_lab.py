@@ -26,7 +26,7 @@ from .errors import (
     EmptyHistogram,
     InvalidGrid,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, paired
 
 Sampler = Callable[[int, RunSeed], EmbeddingSet]
 CurveSource = Union[EmbeddingSet, Sampler]
@@ -456,18 +456,6 @@ class RkePopulationEstimate:
         }
 
 
-def _pairwise_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """k(x_i, y_i) for aligned rows."""
-    if spec.family == "gaussian":
-        sq = ((x - y) ** 2).sum(axis=1)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
-    if (nx == 0).any() or (ny == 0).any():
-        raise DataError("cosine kernel undefined for zero rows")
-    return np.clip((x * y).sum(axis=1) / (nx * ny), -1.0, 1.0)
-
-
 def population_rke_mc(
     sampler: Sampler,
     spec: KernelSpec,
@@ -486,7 +474,7 @@ def population_rke_mc(
         size = min(chunk_size, pair_count - done)
         x = sampler(size, rng.child(2 * chunk_index)).data
         y = sampler(size, rng.child(2 * chunk_index + 1)).data
-        ksq = _pairwise_kernel(x, y, spec) ** 2
+        ksq = paired(x, y, spec) ** 2
         total += float(ksq.sum())
         total_sq += float((ksq * ksq).sum())
         done += size

@@ -97,10 +97,6 @@ def _kernel_from(cfg: dict, key: str = "kernel") -> KernelSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _seed_from(cfg: dict) -> RunSeed:
-    return RunSeed(int(cfg.get("seed", 0)), int(cfg.get("stream_id", 0)))
-
-
 def _out_dir(args, command: str, resolved: dict) -> tuple[str, str]:
     root = args.out or os.environ.get("DIVKIT_CACHE_DIR") or "divkit_out"
     digest = config_hash(resolved)
@@ -436,7 +432,7 @@ def cmd_concentration(args) -> int:
         jobs=args.jobs,
     )
     payload = {"config": resolved, "concentration": report.to_payload()}
-    path = _write_record(out_dir, "bias", payload, digest, stamp)
+    path = _write_record(out_dir, "concentration", payload, digest, stamp)
     print(path)
     return 0
 

@@ -187,16 +187,12 @@ def _read_container(path: str, magic: bytes) -> np.ndarray:
     return arr
 
 
-def write_matrix_container(path: str, arr: np.ndarray, kind: str = "gram") -> None:
+def write_matrix_container(path: str, arr: np.ndarray) -> None:
     """Write a square matrix in the binary container (magic GRAM)."""
-    if kind != "gram":
-        raise DataError(f"unknown container kind {kind!r}")
     _write_container(path, _MAGIC_GRAM, arr)
 
 
-def read_matrix_container(path: str, kind: str = "gram") -> np.ndarray:
-    if kind != "gram":
-        raise DataError(f"unknown container kind {kind!r}")
+def read_matrix_container(path: str) -> np.ndarray:
     return _read_container(path, _MAGIC_GRAM)
 
 
@@ -270,7 +266,7 @@ def subsample(x: EmbeddingSet, m: int, rng: RunSeed) -> EmbeddingSet:
 # result records and canonical JSON
 # ---------------------------------------------------------------------------
 
-RECORD_KINDS = ("score", "curve", "projection", "guidance", "bias")
+RECORD_KINDS = ("score", "curve", "projection", "guidance", "bias", "concentration")
 
 
 @dataclass

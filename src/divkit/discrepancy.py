@@ -1,9 +1,10 @@
 """Kernel distance, MMD, and Frechet distance between embedding sets.
 
 KD on a fixed support is the quadratic form (q - q0)^T K (q - q0), the
-squared MMD between two reweightings of the same points.  The two-sample MMD
-defaults to the biased estimator; FD is computed on raw embedding vectors
-with unbiased (n-1) covariances.
+squared MMD between two reweightings of the same points.  The two-sample
+:func:`mmd2` returns the biased and the unbiased estimator from one set of
+kernel blocks built by :func:`kernels.cross`; FD is computed on raw
+embedding vectors with unbiased (n-1) covariances.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import EmbeddingSet
 from .entropy import WeightVector
-from .errors import DataError, DimensionMismatch, NumericError, TooFewSamples
-from .kernels import GramMatrix, KernelSpec
+from .errors import DimensionMismatch, NumericError, TooFewSamples
+from .kernels import GramMatrix, KernelSpec, cross
 
 
 @dataclass(frozen=True)
@@ -50,41 +50,23 @@ def kd_fixed_support(k: GramMatrix, q: WeightVector, q0: WeightVector) -> float:
     return max(val, 0.0)
 
 
-def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    if spec.family == "gaussian":
-        sq = cdist(x, y, metric="sqeuclidean")
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
-    if (nx == 0).any() or (ny == 0).any():
-        raise DataError("cosine kernel undefined for zero rows")
-    return np.clip((x / nx[:, None]) @ (y / ny[:, None]).T, -1.0, 1.0)
+def mmd2(x: EmbeddingSet, y: EmbeddingSet, spec: KernelSpec) -> tuple[float, float | None]:
+    """Squared MMD between two sets as (biased V-statistic, unbiased U-statistic).
 
-
-def mmd2(
-    x: EmbeddingSet,
-    y: EmbeddingSet,
-    spec: KernelSpec,
-    estimator: str = "biased",
-) -> float:
-    """Squared MMD between two sets; 'biased' (V-statistic) or 'unbiased'."""
+    The unbiased value is None unless both sets hold at least 2 samples.
+    """
     if x.d != y.d:
         raise DimensionMismatch(f"embedding dims differ: {x.d} vs {y.d}")
-    if estimator not in ("biased", "unbiased"):
-        raise DataError(f"unknown estimator {estimator!r}")
     m, n = x.n, y.n
-    if estimator == "unbiased" and (m < 2 or n < 2):
-        raise TooFewSamples("unbiased MMD needs at least 2 samples per set")
-    kxx = _cross_kernel(x.data, x.data, spec)
-    kyy = _cross_kernel(y.data, y.data, spec)
-    kxy = _cross_kernel(x.data, y.data, spec)
-    if estimator == "biased":
-        val = kxx.mean() - 2.0 * kxy.mean() + kyy.mean()
-        return max(float(val), 0.0)
+    kxx = cross(x.data, x.data, spec)
+    kyy = cross(y.data, y.data, spec)
+    kxy_mean = cross(x.data, y.data, spec).mean()
+    biased = max(float(kxx.mean() - 2.0 * kxy_mean + kyy.mean()), 0.0)
+    if m < 2 or n < 2:
+        return biased, None
     xx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
     yy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    return float(xx + yy - 2.0 * kxy.mean())
+    return biased, float(xx + yy - 2.0 * kxy_mean)
 
 
 def _sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -115,7 +97,6 @@ def frechet_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
 
 def compare(x: EmbeddingSet, y: EmbeddingSet, spec: KernelSpec) -> DiscrepancyReport:
     """KD (biased MMD^2 under the scoring kernel), FD, and unbiased MMD^2."""
-    kd = mmd2(x, y, spec, estimator="biased")
+    kd, unbiased = mmd2(x, y, spec)
     fd = frechet_distance(x, y) if (x.n >= 2 and y.n >= 2) else None
-    unbiased = mmd2(x, y, spec, estimator="unbiased") if (x.n >= 2 and y.n >= 2) else None
     return DiscrepancyReport(kd_squared=kd, fd=fd, mmd2_unbiased=unbiased, spec=spec)

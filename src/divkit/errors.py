@@ -95,7 +95,3 @@ class NotPSD(NumericError):
 
 class SizeCapExceeded(NumericError):
     """Exact eigendecomposition refused beyond the configured size cap."""
-
-
-class DegenerateWeight(NumericError):
-    """Weight vector has entries below the configured floor."""

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import EmbeddingSet, RunSeed
-from .discrepancy import frechet_distance, mmd2
+from .discrepancy import compare
 from .entropy import score_gram
 from .errors import BadArguments, DataError, EmptyBank
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, cross, gram
 
 # ---------------------------------------------------------------------------
 # mixture targets
@@ -307,17 +307,8 @@ class GuidanceConfig:
 
 def irke_objective(z: np.ndarray, bank: MemoryBank, kernel: KernelSpec) -> float:
     """Mean squared kernel similarity of z to the bank entries; in [0, 1]."""
-    entries = bank.as_array()
     z = np.asarray(z, dtype=np.float64)
-    if kernel.family == "gaussian":
-        sq = ((entries - z[None, :]) ** 2).sum(axis=1)
-        k = np.exp(-sq / (2.0 * kernel.bandwidth**2))
-    else:
-        nz = np.linalg.norm(z)
-        ne = np.linalg.norm(entries, axis=1)
-        if nz == 0 or (ne == 0).any():
-            raise DataError("cosine similarity undefined for zero vectors")
-        k = np.clip(entries @ z / (ne * nz), -1.0, 1.0)
+    k = cross(z[None, :], bank.as_array(), kernel)[0]
     return float((k * k).mean())
 
 
@@ -443,14 +434,15 @@ def _measure(
 ) -> SampleSetMetrics:
     xs = EmbeddingSet(samples, label="generated")
     score = score_gram(gram(xs, kernel))
+    report = compare(xs, target, kernel)
     return SampleSetMetrics(
         samples=xs,
         vendi=score.vendi,
         log_vendi=score.log_vendi,
         rke=score.rke,
         covered_modes=count_covered_modes(xs, spec),
-        kd_to_target=mmd2(xs, target, kernel, estimator="biased"),
-        fd_to_target=frechet_distance(xs, target),
+        kd_to_target=report.kd_squared,
+        fd_to_target=report.fd,
     )
 
 

@@ -3,7 +3,9 @@
 The Gaussian kernel uses the exp(-||x-y||^2 / (2*bandwidth^2)) convention;
 bandwidths quoted elsewhere in this package assume that form.  Embeddings are
 never normalized implicitly: the cosine kernel unit-normalizes internally,
-the Gaussian kernel uses raw coordinates.
+the Gaussian kernel uses raw coordinates.  Every array kernel evaluation in
+the package goes through :func:`cross` (all pairs of rows) or :func:`paired`
+(aligned rows); the scalar kernels are their reference.
 """
 
 from __future__ import annotations
@@ -110,20 +112,43 @@ def _symmetrize(k: np.ndarray) -> np.ndarray:
     return k
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean row norms; the cosine kernel is undefined at a zero row."""
+    norms = np.linalg.norm(x, axis=1)
+    zero = np.nonzero(norms == 0.0)[0]
+    if zero.size:
+        raise ZeroVector(f"row {int(zero[0])} has zero norm")
+    return norms
+
+
+def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """k(x_i, y_j) for all rows of ``x`` against all rows of ``y``; O(n m d).
+
+    Passing the same array twice normalizes it once, so the cosine self
+    block comes from one symmetric BLAS product, whose rounding can differ
+    from a general product of two copies.  The result is not symmetrized or
+    pinned; :func:`gram` does that.
+    """
+    if spec.family == "gaussian":
+        sq = cdist(x, y, metric="sqeuclidean")
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    ux = x / _row_norms(x)[:, None]
+    uy = ux if y is x else y / _row_norms(y)[:, None]
+    return np.clip(ux @ uy.T, -1.0, 1.0)
+
+
+def paired(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """k(x_i, y_i) for aligned rows of ``x`` and ``y``; O(n d)."""
+    if spec.family == "gaussian":
+        sq = ((x - y) ** 2).sum(axis=1)
+        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    return np.clip((x * y).sum(axis=1) / (_row_norms(x) * _row_norms(y)), -1.0, 1.0)
+
+
 def gram(x: EmbeddingSet, spec: KernelSpec) -> GramMatrix:
     """Pairwise kernel matrix of all rows of ``x``; O(n^2 d)."""
-    if spec.family == "gaussian":
-        sq = cdist(x.data, x.data, metric="sqeuclidean")
-        np.maximum(sq, 0.0, out=sq)
-        k = np.exp(-sq / (2.0 * spec.bandwidth**2))
-    else:
-        norms = np.linalg.norm(x.data, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise ZeroVector(f"row {int(zero[0])} has zero norm")
-        unit = x.data / norms[:, None]
-        k = np.clip(unit @ unit.T, -1.0, 1.0)
-    return GramMatrix(_symmetrize(k), spec)
+    return GramMatrix(_symmetrize(cross(x.data, x.data, spec)), spec)
 
 
 def hadamard_square(k: GramMatrix) -> GramMatrix:

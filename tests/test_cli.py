@@ -57,6 +57,11 @@ def test_score_data_error_exit_code(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2\n3,nan\n")
     assert run_cli(["score", p, "--kernel", "cosine"]) == 2
+    good = tmp_path / "good.csv"
+    against = tmp_path / "against_zero_row.csv"
+    write_embeddings(good, [[1.0, 2.0], [3.0, 1.0]])
+    write_embeddings(against, [[1.0, 1.0], [0.0, 0.0], [2.0, 1.0]])
+    assert run_cli(["score", good, "--against", against, "--kernel", "cosine"]) == 2
 
 
 def test_score_numeric_error_exit_code(tmp_path):
@@ -176,6 +181,7 @@ def test_concentration_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["concentration", "--config", cfg, "--out", out]) == 0
     rec = load_record(str(next(out.glob("concentration-*/record.json"))))
+    assert rec.kind == "concentration"
     assert rec.payload["concentration"]["passed"] is True
 
 

@@ -65,14 +65,14 @@ def test_kd_dimension_mismatch():
 def test_mmd2_biased_same_set_zero():
     rng = np.random.default_rng(1)
     x = EmbeddingSet(rng.normal(size=(20, 4)))
-    assert mmd2(x, x, KernelSpec("gaussian", 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert mmd2(x, x, KernelSpec("gaussian", 1.0))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mmd2_two_singletons():
     a = np.array([[0.0, 0.0]])
     b = np.array([[1.0, 2.0]])
     spec = KernelSpec("gaussian", 1.5)
-    val = mmd2(EmbeddingSet(a), EmbeddingSet(b), spec)
+    val, _ = mmd2(EmbeddingSet(a), EmbeddingSet(b), spec)
     expected = 2.0 - 2.0 * gaussian_kernel(a[0], b[0], 1.5)
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -82,13 +82,12 @@ def test_mmd2_biased_nonnegative():
     for seed in range(5):
         x = EmbeddingSet(rng.normal(size=(15, 3)))
         y = EmbeddingSet(rng.normal(size=(10, 3)))
-        assert mmd2(x, y, KernelSpec("gaussian", 1.0)) >= -1e-12
+        assert mmd2(x, y, KernelSpec("gaussian", 1.0))[0] >= -1e-12
 
 
 def test_mmd2_unbiased_needs_two():
     x = EmbeddingSet(np.ones((1, 2)))
-    with pytest.raises(TooFewSamples):
-        mmd2(x, x, KernelSpec("gaussian", 1.0), estimator="unbiased")
+    assert mmd2(x, x, KernelSpec("gaussian", 1.0))[1] is None
 
 
 def test_mmd2_unbiased_null_calibration():
@@ -99,14 +98,39 @@ def test_mmd2_unbiased_null_calibration():
     x = EmbeddingSet(pool[:200])
     y = EmbeddingSet(pool[200:])
     spec = KernelSpec("gaussian", 1.0)
-    observed = mmd2(x, y, spec, estimator="unbiased")
+    observed = mmd2(x, y, spec)[1]
     null = []
     for _ in range(200):
         perm = gen.permutation(400)
         null.append(
-            mmd2(EmbeddingSet(pool[perm[:200]]), EmbeddingSet(pool[perm[200:]]), spec, "unbiased")
+            mmd2(EmbeddingSet(pool[perm[:200]]), EmbeddingSet(pool[perm[200:]]), spec)[1]
         )
     assert abs(observed) <= 3.0 * np.std(null) + 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(5, 4), (2, 7)])
+def test_mmd2_both_estimators_match_double_loop(m, n):
+    rng = np.random.default_rng(31 + m)
+    x = rng.normal(size=(m, 3))
+    y = rng.normal(size=(n, 3)) + 0.5
+    bw = 1.1
+
+    def block(a, b):
+        return np.array([[gaussian_kernel(u, v, bw) for v in b] for u in a])
+
+    kxx, kyy, kxy = block(x, x), block(y, y), block(x, y)
+    biased = kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
+    unbiased = (
+        (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+        + (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+        - 2.0 * kxy.mean()
+    )
+    spec = KernelSpec("gaussian", bw)
+    got_biased, got_unbiased = mmd2(EmbeddingSet(x), EmbeddingSet(y), spec)
+    assert got_biased == pytest.approx(biased, rel=1e-12, abs=1e-15)
+    assert got_unbiased == pytest.approx(unbiased, rel=1e-12, abs=1e-15)
+    rep = compare(EmbeddingSet(x), EmbeddingSet(y), spec)
+    assert (rep.kd_squared, rep.mmd2_unbiased) == (got_biased, got_unbiased)
 
 
 # -- Frechet distance -----------------------------------------------------------

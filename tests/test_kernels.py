@@ -3,17 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divkit.dataio import EmbeddingSet
+from divkit.bias_lab import population_rke_mc
+from divkit.dataio import EmbeddingSet, RunSeed
+from divkit.discrepancy import mmd2
 from divkit.errors import DataError, NonPositiveBandwidth, ZeroVector
 from divkit.kernels import (
     GramMatrix,
     KernelSpec,
+    _symmetrize,
     cosine_kernel,
+    cross,
     gaussian_kernel,
     gram,
     gram_from_values,
     hadamard_square,
     load_gram,
+    paired,
     save_gram,
 )
 
@@ -82,6 +87,51 @@ def test_gram_cosine_zero_row():
     x = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ZeroVector):
         gram(x, KernelSpec("cosine"))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("gaussian", 1.3), KernelSpec("cosine")],
+                         ids=["gaussian", "cosine"])
+def test_cross_and_paired_kernel_layer(spec):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(17, 7))
+    y = rng.normal(size=(11, 7))
+
+    # the Gram matrix is the symmetrized self block, bit for bit
+    assert np.array_equal(_symmetrize(cross(x, x, spec)), gram(EmbeddingSet(x), spec).values)
+
+    # entrywise agreement with the scalar kernels
+    def oracle(a, b):
+        if spec.family == "gaussian":
+            return gaussian_kernel(a, b, spec.bandwidth)
+        return cosine_kernel(a, b)
+
+    expected = np.array([[oracle(a, b) for b in y] for a in x])
+    np.testing.assert_allclose(cross(x, y, spec), expected, rtol=1e-12)
+
+    y_aligned = rng.normal(size=x.shape)
+    np.testing.assert_allclose(
+        paired(x, y_aligned, spec), np.diagonal(cross(x, y_aligned, spec)), rtol=1e-12
+    )
+
+    if spec.family == "gaussian":
+        return
+    zero_in_y = y_aligned.copy()
+    zero_in_y[3] = 0.0
+
+    def zero_sampler(n, rng):
+        rows = rng.generator().normal(size=(n, 7))
+        rows[n // 2] = 0.0
+        return EmbeddingSet(rows)
+
+    for a, b in ((zero_in_y, x), (x, zero_in_y)):
+        with pytest.raises(ZeroVector):
+            cross(a, b, spec)
+        with pytest.raises(ZeroVector):
+            paired(a, b, spec)
+        with pytest.raises(ZeroVector):
+            mmd2(EmbeddingSet(a), EmbeddingSet(b), spec)
+    with pytest.raises(ZeroVector):
+        population_rke_mc(zero_sampler, spec, 100, RunSeed(0))
 
 
 def test_hadamard_square_trivial():
