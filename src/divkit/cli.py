@@ -382,23 +382,23 @@ def cmd_guide(args) -> int:
     dataio.save_embeddings(result.guided.samples, os.path.join(out_dir, "guided.embd"))
     dataio.save_embeddings(result.unguided.samples, os.path.join(out_dir, "unguided.embd"))
     if resolved["dump_trajectories"] > 0:
-        _dump_trajectories(out_dir, spec, base_weights, sched, gcfg, resolved)
+        _dump_trajectories(out_dir, spec.with_weights(base_weights), sched, resolved)
     print(path)
     return 0
 
 
-def _dump_trajectories(out_dir, spec, base_weights, sched, gcfg, resolved) -> None:
+def _dump_trajectories(out_dir, base, sched, resolved) -> None:
     """Plot-data dump of the first few unguided trajectories."""
-    base = spec.with_weights(base_weights)
-    rng = RunSeed(resolved["seed"], resolved["stream_id"])
     count = min(resolved["dump_trajectories"], resolved["n_samples"])
+    paths = guidance.unguided_trajectories(
+        base, sched, RunSeed(resolved["seed"], resolved["stream_id"]), range(count),
+        resolved["stochastic"],
+    )
     for i in range(count):
-        gen = rng.child(i).generator()
-        z = gen.standard_normal(2)
-        lines = ["# step x y", f"{sched.steps} {dataio.format_float(z[0])} {dataio.format_float(z[1])}"]
-        for t in range(sched.steps, 0, -1):
-            z = guidance.reverse_step(z, t, base, sched, gen if resolved["stochastic"] else None)
-            lines.append(f"{t - 1} {dataio.format_float(z[0])} {dataio.format_float(z[1])}")
+        lines = ["# step x y"] + [
+            f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}"
+            for k, (x, y) in enumerate(paths[:, i].tolist())
+        ]
         dataio.write_text(os.path.join(out_dir, f"trajectory_{i:03d}.dat"), "\n".join(lines) + "\n")
 
 

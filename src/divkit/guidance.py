@@ -7,13 +7,18 @@ the gradient of the mean squared kernel similarity to a memory bank of
 previously generated latents, which steers new samples away from crowded
 regions and raises order-2 diversity.
 
-Sample generation is sequential by construction: the memory bank couples
-every sample to the ones generated before it.
+Only the guided pass is sequential: the memory bank couples every guided
+sample to the ones generated before it.  The unguided pass has no coupling,
+so it takes one vectorised reverse step per noise level over all samples.
+Both passes run the same row-independent step from a per-run table of
+schedule constants, and draw each sample's noise from that sample's own
+stream, so with zero guidance they coincide bitwise.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,19 +166,91 @@ class NoiseSchedule:
 # closed-form scores and reverse steps
 # ---------------------------------------------------------------------------
 
-def _noised_params(spec: MixtureSpec2D, sched: NoiseSchedule, t: int):
-    ab = sched.alpha_bar_at(t)
-    centers = math.sqrt(ab) * spec.centers
-    var = ab * spec.component_std**2 + (1.0 - ab)
-    return centers, var
+class _Step:
+    """Constants of the noised mixture at level t and of the reverse step to t-1.
+
+    A run builds them once per level (:func:`_step_table`); a one-off call
+    builds the one level it needs.  Level 0 has a score but no reverse step,
+    so its step constants are unset.
+    """
+
+    __slots__ = ("t", "log_w", "centers", "centers_t", "var", "two_var",
+                 "eps_coef", "x0_coef", "sqrt_ab", "sqrt_ab_prev", "sqrt_1m_ab_prev",
+                 "beta", "sqrt_alpha", "post_std")
+
+    def __init__(self, spec: MixtureSpec2D, sched: NoiseSchedule, t: int, log_w: np.ndarray):
+        # p_t has centers scaled by sqrt(alpha_bar_t) and per-component
+        # variance alpha_bar_t * component_std^2 + (1 - alpha_bar_t)
+        ab_t = sched.alpha_bar_at(t)
+        self.t = t
+        self.log_w = log_w
+        self.centers = math.sqrt(ab_t) * spec.centers
+        self.centers_t = np.ascontiguousarray(self.centers.T)
+        self.var = ab_t * spec.component_std**2 + (1.0 - ab_t)
+        self.two_var = 2.0 * self.var
+        if t == 0:
+            return
+        ab_prev = sched.alpha_bar_at(t - 1)
+        # deterministic DDIM update
+        self.eps_coef = -math.sqrt(1.0 - ab_t)
+        self.x0_coef = 1.0 - ab_t
+        self.sqrt_ab = math.sqrt(ab_t)
+        self.sqrt_ab_prev = math.sqrt(ab_prev)
+        self.sqrt_1m_ab_prev = math.sqrt(1.0 - ab_prev)
+        # stochastic ancestral update; the posterior noise is zero at t = 1
+        alpha_t = ab_t / ab_prev
+        self.beta = 1.0 - alpha_t
+        self.sqrt_alpha = math.sqrt(alpha_t)
+        self.post_std = math.sqrt((1.0 - ab_prev) / (1.0 - ab_t) * self.beta)
+
+
+def _step_table(spec: MixtureSpec2D, sched: NoiseSchedule) -> list[_Step]:
+    """The reverse steps of one run in the order they are taken, t = T..1."""
+    log_w = np.log(spec.weights)
+    return [_Step(spec, sched, t, log_w) for t in range(sched.steps, 0, -1)]
+
+
+def _score(z: np.ndarray, step: _Step) -> np.ndarray:
+    """grad_z log p_t over a (..., 2) batch, with log-sum-exp responsibilities.
+
+    Every reduction runs along a row's own last axis, and the posterior mean
+    is an explicit multiply-and-sum over the components rather than a BLAS
+    matmul, so the bits of a row do not depend on the batch it is in.  The
+    in-place updates and direct ``reduce`` calls only trim per-call overhead,
+    which dominates the one-row steps of the guided pass.
+    """
+    diff = z[..., None, :] - step.centers
+    diff *= diff
+    logits = step.log_w - np.add.reduce(diff, axis=-1) / step.two_var
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    resp = np.exp(logits, out=logits)
+    resp /= np.add.reduce(resp, axis=-1, keepdims=True)
+    score = np.add.reduce(resp[..., None, :] * step.centers_t, axis=-1)
+    score -= z
+    score /= step.var
+    return score
+
+
+def _reverse(z: np.ndarray, step: _Step, noise: np.ndarray | None) -> np.ndarray:
+    """One reverse update of a (..., 2) batch: ancestral with ``noise``, else DDIM."""
+    score = _score(z, step)
+    if noise is None:
+        eps_hat = step.eps_coef * score
+        x0_hat = (z + step.x0_coef * score) / step.sqrt_ab
+        return step.sqrt_ab_prev * x0_hat + step.sqrt_1m_ab_prev * eps_hat
+    out = step.beta * score
+    out += z
+    out /= step.sqrt_alpha
+    out += step.post_std * noise
+    return out
 
 
 def noised_log_density(z: np.ndarray, t: int, spec: MixtureSpec2D, sched: NoiseSchedule) -> float:
     """log p_t(z) of the mixture after t forward noising steps."""
-    centers, var = _noised_params(spec, sched, t)
+    step = _Step(spec, sched, t, np.log(spec.weights))
     z = np.asarray(z, dtype=np.float64)
-    sq = ((z[None, :] - centers) ** 2).sum(axis=1)
-    logits = np.log(spec.weights) - sq / (2.0 * var) - math.log(2.0 * math.pi * var)
+    sq = ((z[None, :] - step.centers) ** 2).sum(axis=1)
+    logits = step.log_w - sq / step.two_var - math.log(2.0 * math.pi * step.var)
     peak = logits.max()
     return float(peak + np.log(np.exp(logits - peak).sum()))
 
@@ -184,15 +261,7 @@ def noised_mixture_score(z: np.ndarray, t: int, spec: MixtureSpec2D, sched: Nois
     p_t has centers scaled by sqrt(alpha_bar_t) and per-component variance
     alpha_bar_t * component_std^2 + (1 - alpha_bar_t).
     """
-    centers, var = _noised_params(spec, sched, t)
-    z = np.asarray(z, dtype=np.float64)
-    sq = ((z[None, :] - centers) ** 2).sum(axis=1)
-    logits = np.log(spec.weights) - sq / (2.0 * var)
-    logits -= logits.max()
-    resp = np.exp(logits)
-    resp /= resp.sum()
-    posterior_mean = resp @ centers
-    return -(z - posterior_mean) / var
+    return _score(np.asarray(z, dtype=np.float64), _Step(spec, sched, t, np.log(spec.weights)))
 
 
 def reverse_step(
@@ -210,19 +279,41 @@ def reverse_step(
     """
     if t < 1:
         raise BadArguments(f"reverse step needs t >= 1, got {t}")
+    step = _Step(spec, sched, t, np.log(spec.weights))
     z_t = np.asarray(z_t, dtype=np.float64)
-    ab_t = sched.alpha_bar_at(t)
-    ab_prev = sched.alpha_bar_at(t - 1)
-    score = noised_mixture_score(z_t, t, spec, sched)
-    if gen is None:
-        eps_hat = -math.sqrt(1.0 - ab_t) * score
-        x0_hat = (z_t + (1.0 - ab_t) * score) / math.sqrt(ab_t)
-        return math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps_hat
-    alpha_t = ab_t / ab_prev
-    beta_t = 1.0 - alpha_t
-    mean = (z_t + beta_t * score) / math.sqrt(alpha_t)
-    post_var = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
-    return mean + math.sqrt(post_var) * gen.standard_normal(2)
+    return _reverse(z_t, step, None if gen is None else gen.standard_normal(2))
+
+
+def _noise(rng: RunSeed, index: int, steps: int) -> np.ndarray:
+    """Start point (row 0) and per-step noise (rows 1..T) of sample ``index``.
+
+    One draw of 2*(T+1) normals from the sample's own stream yields the same
+    numbers as a draw of 2 for the start and one per reverse step.
+    """
+    return rng.child(index).generator().standard_normal(2 * (steps + 1)).reshape(steps + 1, 2)
+
+
+def unguided_trajectories(
+    spec: MixtureSpec2D,
+    sched: NoiseSchedule,
+    rng: RunSeed,
+    indices: Iterable[int],
+    stochastic: bool = True,
+) -> np.ndarray:
+    """Unguided reverse paths of the samples ``indices`` of a run under ``rng``.
+
+    Returns shape (T+1, m, 2): row k holds the batch after k reverse steps,
+    so row 0 is at level T and row T is the final sample.  The samples share
+    no state, so each level is one vectorised step over the whole batch; the
+    pre-drawn noise and the path take 32 * (T+1) bytes per sample.
+    """
+    noise = np.stack([_noise(rng, i, sched.steps) for i in indices], axis=1)
+    path = np.empty_like(noise)
+    path[0] = z = noise[0]
+    for j, step in enumerate(_step_table(spec, sched)):
+        z = _reverse(z, step, noise[j + 1] if stochastic else None)
+        path[j + 1] = z
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +324,11 @@ BANK_POLICIES = ("all_finals", "every_k_steps")
 
 
 class MemoryBank:
-    """FIFO store of previously generated latents."""
+    """FIFO store of previously generated latents.
+
+    A preallocated (capacity, 2) ring: ``add`` is O(1), and once the bank is
+    full each new entry overwrites the oldest one.
+    """
 
     def __init__(self, capacity: int, policy: str = "all_finals"):
         if capacity < 1:
@@ -242,27 +337,37 @@ class MemoryBank:
             raise DataError(f"unknown bank policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self._entries: list[np.ndarray] = []
+        self._ring = np.empty((capacity, 2))
+        self._count = 0
+        self._head = 0  # slot of the oldest entry once the ring is full
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return self._count == 0
 
     def add(self, z: np.ndarray) -> None:
-        z = np.asarray(z, dtype=np.float64).copy()
+        z = np.asarray(z, dtype=np.float64)
         if z.shape != (2,) or not np.isfinite(z).all():
             raise DataError("bank entries must be finite 2-vectors")
-        self._entries.append(z)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
+        if self._count < self.capacity:
+            self._ring[self._count] = z
+            self._count += 1
+        else:
+            self._ring[self._head] = z
+            self._head = (self._head + 1) % self.capacity
 
     def as_array(self) -> np.ndarray:
-        if not self._entries:
+        """The entries, oldest first, as a read-only view or a copy."""
+        if self._count == 0:
             raise EmptyBank("memory bank has no entries")
-        return np.stack(self._entries, axis=0)
+        if self._head:
+            return np.concatenate((self._ring[self._head:], self._ring[:self._head]))
+        entries = self._ring[:self._count]
+        entries.flags.writeable = False
+        return entries
 
 
 @dataclass(frozen=True)
@@ -397,29 +502,30 @@ def _generate(
     sched: NoiseSchedule,
     cfg: GuidanceConfig,
     rng: RunSeed,
-    guided: bool,
     stochastic: bool,
     bank_policy: str,
     bank_capacity: int | None,
 ) -> tuple[np.ndarray, int, MemoryBank]:
+    """The guided pass, one sample at a time: the bank couples each sample to
+    the ones before it."""
     steps = sched.steps
     if bank_capacity is None:
         per_sample = 1 if bank_policy == "all_finals" else len(range(0, steps, cfg.apply_every))
         bank_capacity = max(n_samples * per_sample, 1)
     bank = MemoryBank(bank_capacity, policy=bank_policy)
+    table = _step_table(base, sched)
     out = np.empty((n_samples, 2))
     empty_hits = 0
     for i in range(n_samples):
-        gen = rng.child(i).generator()
-        z = gen.standard_normal(2)
-        for t in range(steps, 0, -1):
-            z = reverse_step(z, t, base, sched, gen if stochastic else None)
-            if guided:
-                if bank.is_empty and (steps - t) % cfg.apply_every == 0:
-                    empty_hits += 1
-                z = guided_step(z, bank, cfg, t)
-            if bank.policy == "every_k_steps" and (steps - t) % cfg.apply_every == 0:
-                bank.add(z)
+        noise = _noise(rng, i, steps)
+        z = noise[0]
+        for j, step in enumerate(table):
+            z = _reverse(z, step, noise[j + 1] if stochastic else None)
+            if j % cfg.apply_every == 0:
+                empty_hits += bank.is_empty
+                z = guided_step(z, bank, cfg, step.t)
+                if bank.policy == "every_k_steps":
+                    bank.add(z)
         out[i] = z
         if bank.policy == "all_finals":
             bank.add(z)
@@ -478,11 +584,9 @@ def run_guided_sampling(
     base = spec.with_weights(base_weights)
     target = sample_mixture(spec, n_samples, rng.child(n_samples))
     guided_samples, empty_hits, _ = _generate(
-        base, n_samples, sched, cfg, rng, True, stochastic, bank_policy, bank_capacity
+        base, n_samples, sched, cfg, rng, stochastic, bank_policy, bank_capacity
     )
-    unguided_samples, _, _ = _generate(
-        base, n_samples, sched, cfg, rng, False, stochastic, bank_policy, bank_capacity
-    )
+    unguided_samples = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
     return GuidedRunResult(
         guided=_measure(guided_samples, target, spec, eval_kernel),
         unguided=_measure(unguided_samples, target, spec, eval_kernel),

@@ -167,6 +167,37 @@ def test_guide_command_eta_zero_blocks_equal(tmp_path):
     assert np.array_equal(guided.data, unguided.data)
 
 
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_guide_dump_trajectories(tmp_path, stochastic):
+    steps = 40
+    cfg = tmp_path / "guide.json"
+    cfg.write_text(json.dumps({
+        "layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": 2.0},
+        "component_std": 0.1,
+        "base_weights": {"type": "geometric", "ratio": 0.5},
+        "n_samples": 8,
+        "schedule": {"kind": "cosine", "steps": steps},
+        "eta": 0.03,
+        "apply_every": 10,
+        "stochastic": stochastic,
+        "dump_trajectories": 3,
+        "seed": 3,
+    }))
+    out = tmp_path / "out"
+    assert run_cli(["guide", "--config", cfg, "--out", out]) == 0
+    run_dir = next(out.glob("guide-*"))
+    names = sorted(p.name for p in run_dir.glob("trajectory_*.dat"))
+    assert names == ["trajectory_000.dat", "trajectory_001.dat", "trajectory_002.dat"]
+    unguided = load_embeddings(os.path.join(run_dir, "unguided.embd")).data
+    for i, name in enumerate(names):
+        lines = (run_dir / name).read_text().splitlines()
+        assert lines[0] == "# step x y"
+        rows = [line.split() for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(steps, -1, -1))
+        # the dumped path ends exactly on the unguided sample of the run
+        assert np.array_equal([float(v) for v in rows[-1][1:]], unguided[i])
+
+
 def test_concentration_command(tmp_path):
     cfg = tmp_path / "conc.json"
     cfg.write_text(json.dumps({

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divkit.dataio import RunSeed
 from divkit.errors import BadArguments, DataError, EmptyBank
@@ -8,6 +10,10 @@ from divkit.guidance import (
     MemoryBank,
     MixtureSpec2D,
     NoiseSchedule,
+    _noise,
+    _reverse,
+    _score,
+    _step_table,
     count_covered_modes,
     geometric_weights,
     guided_step,
@@ -164,6 +170,46 @@ def test_reverse_step_rejects_t_zero():
         reverse_step(np.zeros(2), 0, spec, NoiseSchedule.cosine(20))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 300),
+    t=st.integers(1, 200),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    stochastic=st.booleans(),
+)
+def test_batched_step_equals_row_steps(m, t, scale, seed, stochastic):
+    # guided (one row) and unguided (all rows) passes share one step function;
+    # the eta=0 coincidence needs each row's bits independent of the batch
+    spec = MixtureSpec2D.grid(4, 4, 2.0, 0.1).with_weights(geometric_weights(16, 0.5))
+    sched = NoiseSchedule.cosine(200)
+    z = np.random.default_rng(seed).normal(size=(m, 2)) * scale
+    noise = (np.stack([np.random.default_rng([seed, i]).standard_normal(2) for i in range(m)])
+             if stochastic else None)
+    step = _step_table(spec, sched)[sched.steps - t]
+    batched = _reverse(z, step, noise)
+    assert batched.shape == (m, 2)
+    for i in range(m):
+        gen = np.random.default_rng([seed, i]) if stochastic else None
+        assert np.array_equal(batched[i], reverse_step(z[i], t, spec, sched, gen))
+    scores = _score(z, step)
+    for i in range(m):
+        assert np.array_equal(scores[i], noised_mixture_score(z[i], t, spec, sched))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), steps=st.integers(10, 300))
+def test_one_noise_draw_equals_per_step_draws(seed, index, steps):
+    # the batched pass pre-draws each sample's noise in one call; that must
+    # reproduce the per-step draws of the sample's stream exactly
+    stream = RunSeed(seed).child(index)
+    gen = stream.generator()
+    per_step = np.stack([gen.standard_normal(2) for _ in range(steps + 1)])
+    whole = stream.generator().standard_normal(2 * (steps + 1)).reshape(steps + 1, 2)
+    assert np.array_equal(whole, per_step)
+    assert np.array_equal(_noise(RunSeed(seed), index, steps), per_step)
+
+
 # -- memory bank, objective, guidance -------------------------------------------------
 
 def test_bank_capacity_fifo():
@@ -173,6 +219,30 @@ def test_bank_capacity_fifo():
     arr = bank.as_array()
     assert len(bank) == 3
     assert arr[:, 0].tolist() == [2.0, 3.0, 4.0]
+    # wrap the ring three times over; every state lists the newest three
+    # entries oldest first, and the returned array cannot write into the bank
+    for i in range(5, 12):
+        bank.add(np.array([float(i), -float(i)]))
+        expected = [float(k) for k in range(i - 2, i + 1)]
+        arr = bank.as_array()
+        assert len(bank) == 3
+        assert arr[:, 0].tolist() == expected
+        try:
+            arr[:] = 99.0
+        except ValueError:
+            pass
+        assert bank.as_array()[:, 0].tolist() == expected
+
+
+def test_bank_partial_fill_and_validation():
+    bank = MemoryBank(capacity=4)
+    bank.add(np.array([1.0, 2.0]))
+    bank.add(np.array([3.0, 4.0]))
+    assert bank.as_array().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for bad in (np.array([np.nan, 0.0]), np.zeros(3)):
+        with pytest.raises(DataError):
+            bank.add(bad)
+    assert len(bank) == 2
 
 
 def test_irke_objective_far_and_coincident():
@@ -289,6 +359,23 @@ def test_run_deterministic_and_eta_zero_equals_baseline():
     assert a.guided.rke == a.unguided.rke
 
 
+@pytest.mark.parametrize(
+    "stochastic, policy, empty_steps",
+    [(False, "all_finals", 6), (True, "every_k_steps", 1)],
+)
+def test_eta_zero_equals_baseline_ddim_and_every_k_steps(stochastic, policy, empty_steps):
+    spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
+    sched = NoiseSchedule.cosine(60)
+    cfg = GuidanceConfig.constant(0.0, 60, 10, KERNEL)
+    res = run_guided_sampling(spec, geometric_weights(4, 0.5), 30, sched, cfg, RunSeed(42),
+                              stochastic=stochastic, bank_policy=policy)
+    assert np.array_equal(res.guided.samples.data, res.unguided.samples.data)
+    assert res.guided.to_payload() == res.unguided.to_payload()
+    # only the first sample's cadence steps see an empty bank: all six of
+    # them under all_finals, and just the first under every_k_steps
+    assert res.empty_bank_steps == empty_steps
+
+
 def test_run_uniform_base_covers_all_modes():
     # coupon-collector: 600 near-uniform draws miss one of 16 modes with
     # probability around 16 * (15/16)**600 ~ 1e-16
@@ -315,9 +402,9 @@ def test_bank_all_finals_size_equals_completed_samples():
     spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
     sched = NoiseSchedule.cosine(40)
     cfg = GuidanceConfig.constant(0.01, 40, 10, KERNEL)
-    _, _, bank = _generate(spec, 7, sched, cfg, RunSeed(3), True, True, "all_finals", None)
+    _, _, bank = _generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals", None)
     assert len(bank) == 7
-    _, _, bank = _generate(spec, 3, sched, cfg, RunSeed(3), True, True, "every_k_steps", None)
+    _, _, bank = _generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps", None)
     assert len(bank) == 3 * len(range(0, 40, 10))
 
 
