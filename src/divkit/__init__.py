@@ -5,7 +5,13 @@ kernel matrix) and RKE (exp order-2 Renyi entropy), measures kernel and
 Frechet discrepancies, reproduces finite-sample entropy-bias experiments,
 projects empirical weights onto high-entropy regions, and demonstrates
 diversity guidance for reverse diffusion on analytic 2D mixtures.
+
+Warnings (such as a projection that stops without converging) go to the
+``divkit`` logger, which stays silent until the application configures
+logging.
 """
+
+import logging
 
 from .bias_lab import (
     ConcentrationBound,
@@ -86,3 +92,5 @@ from .projection import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger("divkit").addHandler(logging.NullHandler())

@@ -272,6 +272,9 @@ def cmd_project(args) -> int:
         result = projection.project_rke_penalized(k, _require_lambda(resolved), pcfg)
     else:
         raise UsageError(f"unknown projection mode {mode!r}")
+    if result.status != "converged":
+        print(f"divkit: warning: {mode} projection stopped with status {result.status} "
+              f"after {result.iterations} iterations", file=sys.stderr)
     payload = {"config": resolved, "projection": result.to_payload()}
     path = _write_record(out_dir, "projection", payload, digest, stamp)
     weights_text = "\n".join(dataio.format_float(w) for w in result.q_star.weights) + "\n"

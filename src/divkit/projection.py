@@ -16,6 +16,7 @@ the objective trace nonincreasing and the limit a global optimum.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ _LAMBDA_CEILING = 1e6
 _STAGNATION_WINDOW = 100
 _STAGNATION_EPS = 1e-12
 _ETA_GROWTH_CAP = 1024.0
+
+_LOG = logging.getLogger("divkit")
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,9 @@ def _finish(
     iterations: int,
     mode: str,
 ) -> ProjectionResult:
+    if status != "converged":
+        _LOG.warning("%s projection stopped with status %s after %d iterations",
+                     mode, status, iterations)
     k2 = hadamard_square(k)
     h0 = vne_weighted(k, q0)
     h_star = vne_weighted(k, q_star)
@@ -296,14 +302,19 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
                    status, iterations, cfg.mode)
 
 
-def _descend_penalized(k, cfg, value, grad, entropy_of, mode):
-    """Generic EG descent with backtracking for the two penalized programs."""
+def _descend_penalized(k, cfg, evaluate, grad, mode):
+    """Generic EG descent with backtracking for the two penalized programs.
+
+    ``evaluate(q)`` returns ``(objective, entropy)`` at one point, so every
+    evaluated point is solved once and an accepted candidate's entropy is
+    reused for the trace.
+    """
     n = k.n
     q0 = WeightVector.uniform(n)
     q = q0
-    obj = value(q)
+    obj, h = evaluate(q)
     objective_trace = [obj]
-    entropy_trace = [entropy_of(q)]
+    entropy_trace = [h]
     status = "max_iters"
     iterations = cfg.max_iters
     eta_run = cfg.eta
@@ -314,9 +325,9 @@ def _descend_penalized(k, cfg, value, grad, entropy_of, mode):
         first_try = True
         for _ in range(_MAX_BACKTRACKS):
             cand = _hold_floor(eg_step(q, g, eta), cfg.weight_floor)
-            cand_obj = value(cand)
+            cand_obj, cand_h = evaluate(cand)
             if cand_obj < obj:
-                accepted = (cand, cand_obj)
+                accepted = (cand, cand_obj, cand_h)
                 break
             eta /= 2.0
             first_try = False
@@ -329,12 +340,12 @@ def _descend_penalized(k, cfg, value, grad, entropy_of, mode):
             status = "converged"
             iterations = t
             break
-        new_q, new_obj = accepted
+        new_q, new_obj, h = accepted
         step_norm = float(np.abs(new_q.weights - q.weights).max())
         rel_change = (obj - new_obj) / max(abs(obj), 1e-300)
         q, obj = new_q, new_obj
         objective_trace.append(obj)
-        entropy_trace.append(entropy_of(q))
+        entropy_trace.append(h)
         if rel_change <= cfg.tol and step_norm <= cfg.tol:
             status = "converged"
             iterations = t + 1
@@ -355,17 +366,17 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
         raise BadArguments(f"lambda must be >= 0, got {lam}")
     q0 = WeightVector.uniform(k.n)
 
-    def value(q: WeightVector) -> float:
+    def evaluate(q: WeightVector) -> tuple:
         diff = q.weights - q0.weights
-        return float(diff @ k.values @ diff) - lam * vne_weighted(k, q)
+        h = vne_weighted(k, q)
+        return float(diff @ k.values @ diff) - lam * h, h
 
     def grad(q: WeightVector) -> np.ndarray:
         return 2.0 * (k.values @ (q.weights - q0.weights)) - lam * vne_gradient(
             k, q, weight_floor=cfg.weight_floor
         )
 
-    return _descend_penalized(k, cfg, value, grad,
-                              lambda q: vne_weighted(k, q), cfg.mode)
+    return _descend_penalized(k, cfg, evaluate, grad, cfg.mode)
 
 
 def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -382,14 +393,12 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
     k2 = hadamard_square(k)
     q0 = WeightVector.uniform(k.n)
 
-    def value(q: WeightVector) -> float:
+    def evaluate(q: WeightVector) -> tuple:
         diff = q.weights - q0.weights
-        return float(diff @ k.values @ diff) + lam * float(q.weights @ k2.values @ q.weights)
+        inverse_rke = inverse_rke_weighted(k2, q)
+        return float(diff @ k.values @ diff) + lam * inverse_rke, -math.log(inverse_rke)
 
     def grad(q: WeightVector) -> np.ndarray:
         return 2.0 * (k.values @ (q.weights - q0.weights)) + 2.0 * lam * (k2.values @ q.weights)
 
-    def order2_entropy(q: WeightVector) -> float:
-        return -math.log(inverse_rke_weighted(k2, q))
-
-    return _descend_penalized(k, cfg, value, grad, order2_entropy, cfg.mode)
+    return _descend_penalized(k, cfg, evaluate, grad, cfg.mode)

@@ -145,6 +145,34 @@ def test_project_command_weights_sum_to_one(tmp_path):
     assert rec.payload["projection"]["vendi_after"] >= rec.payload["projection"]["vendi_before"]
 
 
+def test_project_command_warns_when_not_converged(tmp_path, capsys):
+    emb = tmp_path / "emb.csv"
+    rng = np.random.default_rng(3)
+    write_embeddings(emb, np.vstack([rng.normal(size=(12, 3)) * 0.2,
+                                     rng.normal(size=(4, 3)) * 0.2 + 8.0]))
+    cfg = tmp_path / "proj.json"
+    body = {
+        "gram": {"type": "embeddings", "path": str(emb),
+                 "kernel": {"family": "gaussian", "bandwidth": 1.0}},
+        "mode": "vne_penalized",
+        "lambda": 0.01,
+        "max_iters": 3,
+    }
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert run_cli(["project", "--config", cfg, "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["divkit: warning: vne_penalized projection stopped with status "
+                   "max_iters after 3 iterations"]
+    rec = load_record(str(next(out.glob("project-*/record.json"))))
+    assert rec.payload["projection"]["status"] == "max_iters"
+
+    body.update({"lambda": 1.0, "max_iters": 5000})  # converges: no warning
+    cfg.write_text(json.dumps(body))
+    assert run_cli(["project", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_guide_command_eta_zero_blocks_equal(tmp_path):
     cfg = tmp_path / "guide.json"
     cfg.write_text(json.dumps({

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divkit.dataio import EmbeddingSet
+from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
+from divkit.dataio import EmbeddingSet, RunSeed
 from divkit.entropy import (
     DiversityScore,
     SpectrumReport,
@@ -291,3 +294,68 @@ def test_weight_vector_validation():
 def test_diversity_score_invariant_enforced():
     with pytest.raises(Exception):
         DiversityScore(vendi=2.0, log_vendi=np.log(2.0), rke=3.0, n=10, spec=None)
+
+
+# -- sub-rounding flush before LAPACK ------------------------------------------
+
+FLUSH_RATIO = np.finfo(np.float64).eps ** 2
+
+
+def cube_mixture_gram(n=200, seed=5):
+    """Separated clusters under a narrow kernel: cross-vertex entries <= exp(-200)."""
+    x = sample_cube_mixture(CubeMixtureSpec(10, 1e-4), n, RunSeed(seed))
+    return x, gram(x, KernelSpec("gaussian", 0.1))
+
+
+def test_eigensolves_never_see_sub_rounding_entries(monkeypatch):
+    seen = []
+
+    def spy(solver):
+        def wrapped(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    _, k = cube_mixture_gram()
+    assert k.values[k.values > 0.0].min() < 1e-80  # the input holds such entries
+    score_gram(k)
+    q = np.random.default_rng(0).dirichlet(np.ones(k.n))
+    vne_gradient(k, WeightVector(q))
+    assert len(seen) == 2
+    for a in seen:
+        mag = np.abs(a)
+        live = mag[mag > 0.0]
+        assert live.min() >= FLUSH_RATIO * mag.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 7.0),
+)
+def test_spectrum_without_sub_rounding_entries_is_plain_eigvalsh(n, d, seed, spread):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-spread, spread, size=(n, 1))
+    a = x @ x.T
+    a /= np.trace(a)
+    assume(np.abs(a).min() >= FLUSH_RATIO * np.abs(a).max())
+    plain = np.maximum(np.linalg.eigvalsh((a + a.T) / 2.0)[::-1], 0.0)
+    assert np.array_equal(SpectrumReport.from_matrix(a).eigenvalues, plain)
+
+
+def test_cube_mixture_log_vendi_matches_blockwise_oracle():
+    x, k = cube_mixture_gram()
+    vertex = (x.data > 0) @ (1 << np.arange(x.d))
+    lam = []
+    for v in np.unique(vertex):
+        idx = np.flatnonzero(vertex == v)
+        lam.extend(np.linalg.eigvalsh(k.values[np.ix_(idx, idx)] / k.n))
+    lam = np.maximum(np.asarray(lam), 0.0)
+    live = lam[lam > 1e-12]
+    oracle = min(float(-(live * np.log(live)).sum()), np.log(k.n))
+    assert len(np.unique(vertex)) < k.n  # some vertices hold several samples
+    assert score_gram(k).log_vendi == pytest.approx(oracle, abs=1e-13)

@@ -24,6 +24,7 @@ from divkit.guidance import (
     reverse_step,
     run_guided_sampling,
     sample_mixture,
+    unguided_trajectories,
 )
 from divkit.kernels import KernelSpec
 
@@ -135,15 +136,10 @@ def test_ddim_contracts_to_single_mode():
 def test_ancestral_moments_single_component():
     spec = MixtureSpec2D(np.array([[0.5, -0.3]]), np.array([1.0]), 0.4)
     sched = NoiseSchedule.cosine(200)
-    root = RunSeed(7)
     n = 4000
-    out = np.empty((n, 2))
-    for i in range(n):
-        gen = root.child(i).generator()
-        z = gen.standard_normal(2)
-        for t in range(200, 0, -1):
-            z = reverse_step(z, t, spec, sched, gen)
-        out[i] = z
+    # the final row equals n per-sample reverse_step loops bitwise, as
+    # test_batched_step_equals_row_steps and the one-noise-draw property pin
+    out = unguided_trajectories(spec, sched, RunSeed(7), range(n))[-1]
     se_mean = 0.4 / np.sqrt(n)
     assert np.abs(out.mean(axis=0) - [0.5, -0.3]).max() <= 3 * se_mean
     se_std = 0.4 / np.sqrt(2 * n)

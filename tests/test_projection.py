@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+
+import divkit.projection
 
 from divkit.dataio import EmbeddingSet
 from divkit.discrepancy import kd_fixed_support
@@ -7,6 +11,7 @@ from divkit.entropy import WeightVector, inverse_rke_weighted, vne_weighted
 from divkit.errors import BadArguments, DataError
 from divkit.kernels import KernelSpec, gram, gram_from_values, hadamard_square
 from divkit.projection import (
+    PROJECTION_MODES,
     ProjectionConfig,
     eg_step,
     project_rke_penalized,
@@ -297,3 +302,57 @@ def test_projection_config_validation():
         project_vendi_penalized(
             gram_from_values(np.eye(3)), -0.1, ProjectionConfig(mode="vne_penalized")
         )
+
+
+def _cluster_gram(seed=4):
+    rng = np.random.default_rng(seed)
+    x = np.vstack([rng.normal(size=(14, 3)) * 0.3, rng.normal(size=(6, 3)) * 0.3 + 3.0])
+    return gram(EmbeddingSet(x), KernelSpec("gaussian", 1.0))
+
+
+@pytest.mark.parametrize("mode", ["vne_penalized", "rke_penalized"])
+def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
+    counts = {"eigvalsh": 0, "eg_step": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(divkit.projection, "eg_step", counted("eg_step", eg_step))
+    k = _cluster_gram()
+    cfg = ProjectionConfig(mode, max_iters=60)
+    solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
+    res = solve(k, 0.05, cfg)
+    assert res.iterations > 5
+    # every candidate is one eg_step; q0 adds one point, and the two
+    # vendi_before/after summaries add two eigensolves
+    evaluated = (1 + counts["eg_step"]) if mode == "vne_penalized" else 0
+    assert counts["eigvalsh"] == evaluated + 2
+    assert len(res.entropy_trace) == len(res.objective_trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("mode", PROJECTION_MODES)
+def test_non_converged_solve_logs_a_warning(caplog, mode):
+    k = _cluster_gram()
+    cfg = ProjectionConfig(mode, max_iters=3)
+    with caplog.at_level(logging.WARNING, logger="divkit"):
+        if mode == "vne_constrained":
+            res = project_vne(k, 0.999 * np.log(k.n), cfg)
+        else:
+            solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
+            res = solve(k, 0.05, cfg)
+    assert res.status == "max_iters"
+    warned = [r for r in caplog.records if r.name == "divkit"]
+    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+    assert f"{mode} projection stopped with status max_iters after 3 iterations" in warned[0].getMessage()
+
+
+def test_converged_solve_logs_nothing(caplog):
+    with caplog.at_level(logging.WARNING, logger="divkit"):
+        res = project_vendi_penalized(gram_from_values(np.eye(6)), 0.5,
+                                      ProjectionConfig("vne_penalized"))
+    assert res.status == "converged"
+    assert not [r for r in caplog.records if r.name == "divkit"]
