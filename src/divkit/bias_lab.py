@@ -260,7 +260,8 @@ def vendi_curve(
 
     ``source`` is either a fixed EmbeddingSet (trials subsample it without
     replacement) or a sampler callable (n, seed) -> EmbeddingSet providing
-    fresh independent draws per trial.
+    fresh independent draws per trial.  ``size_cap`` bounds the order of
+    each eigensolved matrix, as in :func:`entropy.vendi_with_gram`.
     """
     sizes = _validate_grid(sizes)
     if trials < 2:
@@ -408,7 +409,7 @@ def check_concentration(
     Draws ``trials`` independent size-m samples, measures log-Vendi, and
     counts deviations from the across-trial mean exceeding t_delta.  Passes
     when the violation fraction is at most delta plus three binomial standard
-    errors.
+    errors.  ``size_cap`` bounds the order of each eigensolved matrix.
     """
     if trials < 30:
         raise BadArguments("need at least 30 trials for a meaningful rate estimate")

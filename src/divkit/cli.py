@@ -24,7 +24,7 @@ import numpy as np
 from . import bias_lab, dataio, guidance, projection
 from .dataio import ResultRecord, RunSeed, canonical_json, config_hash
 from .discrepancy import compare
-from .entropy import DEFAULT_SIZE_CAP, vendi
+from .entropy import DEFAULT_SIZE_CAP, vendi_with_gram
 from .errors import DivkitError, NumericError, UsageError
 from .kernels import KernelSpec, gram, load_gram
 
@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--bandwidth", type=float, help="gaussian bandwidth (required for gaussian)")
     score.add_argument("--format", choices=("csv", "binary"), help="override format sniffing")
     score.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
-                       help="refuse exact eigendecompositions above this size")
+                       help="refuse exact eigendecompositions above this matrix order "
+                            "(n, or d for cosine scores with d < n)")
 
     for name, help_text in (
         ("curve", "Vendi score vs sample size from a file or cube mixture"),
@@ -130,13 +131,11 @@ def cmd_score(args) -> int:
         raise UsageError("gaussian kernel needs --bandwidth")
     spec = KernelSpec(args.kernel, args.bandwidth)
     x = dataio.load_embeddings(args.embeddings, args.format)
-    payload: dict = {
-        "score": vendi(x, spec, size_cap=args.size_cap).to_payload(),
-        "label": x.label,
-    }
+    score, kxx = vendi_with_gram(x, spec, size_cap=args.size_cap)
+    payload: dict = {"score": score.to_payload(), "label": x.label}
     if args.against:
         y = dataio.load_embeddings(args.against, args.format)
-        payload["against"] = compare(x, y, spec).to_payload()
+        payload["against"] = compare(x, y, spec, kxx).to_payload()
     print(canonical_json(payload))
     return 0
 

@@ -2,8 +2,10 @@
 
 KD on a fixed support is the quadratic form (q - q0)^T K (q - q0), the
 squared MMD between two reweightings of the same points.  The two-sample
-:func:`mmd2` returns the biased and the unbiased estimator from one set of
-kernel blocks built by :func:`kernels.cross`; FD is computed on raw
+:func:`mmd2` returns the biased and the unbiased estimator from the kernel
+block sums: under the Gaussian kernel from blocks built once by
+:func:`kernels.cross` (or passed in prebuilt), under the cosine kernel from
+the row sums of the unit rows, with no n x n block.  FD is computed on raw
 embedding vectors with unbiased (n-1) covariances.
 """
 
@@ -15,8 +17,8 @@ import numpy as np
 
 from .dataio import EmbeddingSet
 from .entropy import WeightVector
-from .errors import DimensionMismatch, NumericError, TooFewSamples
-from .kernels import GramMatrix, KernelSpec, cross
+from .errors import DataError, DimensionMismatch, NumericError, TooFewSamples
+from .kernels import GramMatrix, KernelSpec, cross, unit_rows
 
 
 @dataclass(frozen=True)
@@ -50,22 +52,51 @@ def kd_fixed_support(k: GramMatrix, q: WeightVector, q0: WeightVector) -> float:
     return max(val, 0.0)
 
 
-def mmd2(x: EmbeddingSet, y: EmbeddingSet, spec: KernelSpec) -> tuple[float, float | None]:
+def _self_block(x: EmbeddingSet, spec: KernelSpec, k: GramMatrix | None) -> np.ndarray:
+    if k is None:
+        return cross(x.data, x.data, spec)
+    if k.n != x.n or k.spec != spec:
+        raise DataError(
+            f"prebuilt Gram ({k.n} rows, {k.spec}) does not match {x.n} rows under {spec}"
+        )
+    return k.values
+
+
+def mmd2(
+    x: EmbeddingSet,
+    y: EmbeddingSet,
+    spec: KernelSpec,
+    kxx: GramMatrix | None = None,
+    kyy: GramMatrix | None = None,
+) -> tuple[float, float | None]:
     """Squared MMD between two sets as (biased V-statistic, unbiased U-statistic).
 
     The unbiased value is None unless both sets hold at least 2 samples.
+    Both come from the block sums and the self blocks' traces.  Under the
+    cosine kernel these are sums of the unit rows u_i, v_j, in O((m + n) d):
+    sum Kxx = ||sum u||^2, trace Kxx = sum ||u_i||^2, sum Kxy = sum u . sum v.
+    The Gaussian family builds its blocks with :func:`kernels.cross`, or reuses
+    ``kxx``/``kyy``, Grams of x/y already built by :func:`kernels.gram`
+    (for this family equal to ``cross`` bit for bit); the cosine family
+    ignores them.
     """
     if x.d != y.d:
         raise DimensionMismatch(f"embedding dims differ: {x.d} vs {y.d}")
     m, n = x.n, y.n
-    kxx = cross(x.data, x.data, spec)
-    kyy = cross(y.data, y.data, spec)
-    kxy_mean = cross(x.data, y.data, spec).mean()
-    biased = max(float(kxx.mean() - 2.0 * kxy_mean + kyy.mean()), 0.0)
+    if spec.family == "cosine":
+        u, v = unit_rows(x.data), unit_rows(y.data)
+        su, sv = u.sum(axis=0), v.sum(axis=0)
+        sxx, txx, syy, tyy, sxy = su @ su, (u * u).sum(), sv @ sv, (v * v).sum(), su @ sv
+    else:
+        kxx, kyy = _self_block(x, spec, kxx), _self_block(y, spec, kyy)
+        sxx, txx, syy, tyy = kxx.sum(), np.trace(kxx), kyy.sum(), np.trace(kyy)
+        sxy = cross(x.data, y.data, spec).sum()
+    kxy_mean = sxy / (m * n)
+    biased = max(float(sxx / (m * m) - 2.0 * kxy_mean + syy / (n * n)), 0.0)
     if m < 2 or n < 2:
         return biased, None
-    xx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    yy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+    xx = (sxx - txx) / (m * (m - 1))
+    yy = (syy - tyy) / (n * (n - 1))
     return biased, float(xx + yy - 2.0 * kxy_mean)
 
 
@@ -95,8 +126,17 @@ def frechet_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
     return max(val, 0.0)
 
 
-def compare(x: EmbeddingSet, y: EmbeddingSet, spec: KernelSpec) -> DiscrepancyReport:
-    """KD (biased MMD^2 under the scoring kernel), FD, and unbiased MMD^2."""
-    kd, unbiased = mmd2(x, y, spec)
+def compare(
+    x: EmbeddingSet,
+    y: EmbeddingSet,
+    spec: KernelSpec,
+    kxx: GramMatrix | None = None,
+    kyy: GramMatrix | None = None,
+) -> DiscrepancyReport:
+    """KD (biased MMD^2 under the scoring kernel), FD, and unbiased MMD^2.
+
+    ``kxx``/``kyy`` are optional prebuilt Grams of x/y, passed to :func:`mmd2`.
+    """
+    kd, unbiased = mmd2(x, y, spec, kxx, kyy)
     fd = frechet_distance(x, y) if (x.n >= 2 and y.n >= 2) else None
     return DiscrepancyReport(kd_squared=kd, fd=fd, mmd2_unbiased=unbiased, spec=spec)

@@ -7,6 +7,13 @@ vector q replaces K/n by diag(sqrt(q)) K diag(sqrt(q)), which shares its
 nonzero spectrum with the weighted covariance of the (implicit) kernel
 features.
 
+The cosine kernel's features are explicit: K = U U^T with U the unit rows.
+When d < n, :func:`vendi_with_gram` scores the d x d matrix U^T U / n, which
+has the nonzero spectrum of K/n, and takes RKE from ||U^T U||_F = ||U U^T||_F;
+no n x n matrix is built.  The size cap bounds the order of the matrix
+actually eigensolved.  The Gram path stays the Gaussian path and the test
+oracle.
+
 Every eigensolve goes through ``_eigensolve``.  It symmetrizes its input and
 sets each entry with |a_ij| < eps^2 * max|a| (eps = float64 machine epsilon)
 to exactly 0 before LAPACK sees it.  Well-separated clusters under a narrow
@@ -33,7 +40,7 @@ from .errors import (
     NumericError,
     SizeCapExceeded,
 )
-from .kernels import GramMatrix, KernelSpec, gram
+from .kernels import GramMatrix, KernelSpec, gram, unit_rows
 
 #: eigenvalues below this (relative to unit trace) count as zero inside logs,
 #: implementing the 0*log(0) = 0 convention stably
@@ -178,26 +185,59 @@ def rke(k: GramMatrix) -> float:
     return k.n * k.n / total
 
 
-def score_gram(k: GramMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> DiversityScore:
-    """Vendi (exact eigendecomposition of K/n) and RKE of one Gram matrix."""
-    if k.n > size_cap:
-        raise SizeCapExceeded(f"n = {k.n} exceeds the exact-eigensolve cap {size_cap}")
-    h = von_neumann_entropy(SpectrumReport.from_matrix(k.values / k.n))
-    log_vendi = min(h, np.log(k.n)) if k.n > 1 else 0.0
+def _check_cap(order: int, size_cap: int) -> None:
+    if order > size_cap:
+        raise SizeCapExceeded(
+            f"eigensolve of order {order} exceeds the exact-eigensolve cap {size_cap}"
+        )
+
+
+def _diversity(a: np.ndarray, n: int, rke_value: float, spec: KernelSpec | None) -> DiversityScore:
+    """Scores of n samples from ``a``, a unit-trace matrix with the nonzero spectrum of K/n."""
+    h = von_neumann_entropy(SpectrumReport.from_matrix(a))
+    log_vendi = min(h, np.log(n)) if n > 1 else 0.0
     return DiversityScore(
         vendi=float(np.exp(log_vendi)),
         log_vendi=float(log_vendi),
-        rke=rke(k),
-        n=k.n,
-        spec=k.spec,
+        rke=rke_value,
+        n=n,
+        spec=spec,
     )
+
+
+def score_gram(k: GramMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> DiversityScore:
+    """Vendi (exact eigendecomposition of K/n) and RKE of one Gram matrix."""
+    _check_cap(k.n, size_cap)
+    return _diversity(k.values / k.n, k.n, rke(k), k.spec)
 
 
 def vendi(x: EmbeddingSet, spec: KernelSpec, size_cap: int = DEFAULT_SIZE_CAP) -> DiversityScore:
     """Diversity scores of an embedding set under ``spec``."""
-    if x.n > size_cap:
-        raise SizeCapExceeded(f"n = {x.n} exceeds the exact-eigensolve cap {size_cap}")
-    return score_gram(gram(x, spec), size_cap=size_cap)
+    return vendi_with_gram(x, spec, size_cap)[0]
+
+
+def vendi_with_gram(
+    x: EmbeddingSet, spec: KernelSpec, size_cap: int = DEFAULT_SIZE_CAP
+) -> tuple[DiversityScore, GramMatrix | None]:
+    """:func:`vendi` and the n x n Gram it scored, or None if it built none.
+
+    Under the cosine kernel with d < n the scores come from the d x d matrix
+    C = U^T U of the unit rows U, in O(n d^2) time and O(n d) memory:
+    K/n = U U^T / n has the nonzero spectrum of C/n, and
+    sum(K_ij^2) = ||C||_F^2.  Otherwise the Gram is built and returned, so a
+    caller can reuse it as an MMD self block.  ``size_cap`` bounds the order
+    of the matrix eigensolved (d or n), checked before anything of that
+    size is allocated.
+    """
+    n = x.n
+    if spec.family == "cosine" and x.d < n:
+        _check_cap(x.d, size_cap)
+        u = unit_rows(x.data)
+        c = u.T @ u
+        return _diversity(c / n, n, n * n / float((c * c).sum()), spec), None
+    _check_cap(n, size_cap)
+    k = gram(x, spec)
+    return score_gram(k, size_cap), k
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ import numpy as np
 
 from .dataio import EmbeddingSet, RunSeed
 from .discrepancy import compare
-from .entropy import score_gram
+from .entropy import vendi_with_gram
 from .errors import BadArguments, DataError, EmptyBank
-from .kernels import KernelSpec, cross, gram
+from .kernels import GramMatrix, KernelSpec, cross, gram
 
 # ---------------------------------------------------------------------------
 # mixture targets
@@ -537,10 +537,11 @@ def _measure(
     target: EmbeddingSet,
     spec: MixtureSpec2D,
     kernel: KernelSpec,
+    target_gram: GramMatrix | None = None,
 ) -> SampleSetMetrics:
     xs = EmbeddingSet(samples, label="generated")
-    score = score_gram(gram(xs, kernel))
-    report = compare(xs, target, kernel)
+    score, kxx = vendi_with_gram(xs, kernel)
+    report = compare(xs, target, kernel, kxx, target_gram)
     return SampleSetMetrics(
         samples=xs,
         vendi=score.vendi,
@@ -587,9 +588,11 @@ def run_guided_sampling(
         base, n_samples, sched, cfg, rng, stochastic, bank_policy, bank_capacity
     )
     unguided_samples = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
+    # both measures share the target's MMD self block; cosine MMD needs none
+    kyy = gram(target, eval_kernel) if eval_kernel.family == "gaussian" else None
     return GuidedRunResult(
-        guided=_measure(guided_samples, target, spec, eval_kernel),
-        unguided=_measure(unguided_samples, target, spec, eval_kernel),
+        guided=_measure(guided_samples, target, spec, eval_kernel, kyy),
+        unguided=_measure(unguided_samples, target, spec, eval_kernel, kyy),
         n_modes=spec.n_modes,
         empty_bank_steps=empty_hits,
     )

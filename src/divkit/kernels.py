@@ -5,7 +5,10 @@ bandwidths quoted elsewhere in this package assume that form.  Embeddings are
 never normalized implicitly: the cosine kernel unit-normalizes internally,
 the Gaussian kernel uses raw coordinates.  Every array kernel evaluation in
 the package goes through :func:`cross` (all pairs of rows) or :func:`paired`
-(aligned rows); the scalar kernels are their reference.
+(aligned rows); the scalar kernels are their reference.  :func:`unit_rows` is
+the cosine feature factor U (K = U U^T), from which the entropy and
+discrepancy modules compute cosine scores without an n x n block; the
+[-1, 1] clip of :func:`cross` acts only at rounding level.
 """
 
 from __future__ import annotations
@@ -113,12 +116,31 @@ def _symmetrize(k: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean row norms; the cosine kernel is undefined at a zero row."""
-    norms = np.linalg.norm(x, axis=1)
+    """Euclidean row norms; the cosine kernel is undefined at a zero row.
+
+    A row whose sum of squares overflows or underflows (entries beyond about
+    1e154 or below 1e-154) is measured again scaled by its largest entry.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    lost = np.flatnonzero((norms == 0.0) | np.isinf(norms))
+    if lost.size:
+        scale = np.abs(x[lost]).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        norms[lost] = scale * np.linalg.norm(x[lost] / scale[:, None], axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroVector(f"row {int(zero[0])} has zero norm")
     return norms
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """The cosine feature factor U: each row of ``x`` scaled to unit norm.
+
+    The cosine kernel is K = U U^T, so every cosine score can be computed
+    from U.  Raises ``ZeroVector`` naming the first zero row.
+    """
+    return x / _row_norms(x)[:, None]
 
 
 def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -133,8 +155,8 @@ def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
         sq = cdist(x, y, metric="sqeuclidean")
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    ux = x / _row_norms(x)[:, None]
-    uy = ux if y is x else y / _row_norms(y)[:, None]
+    ux = unit_rows(x)
+    uy = ux if y is x else unit_rows(y)
     return np.clip(ux @ uy.T, -1.0, 1.0)
 
 

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import divkit.discrepancy
+import divkit.kernels
 from divkit.cli import main
 from divkit.dataio import EmbeddingSet, load_embeddings, load_record, save_embeddings
+from divkit.kernels import cross
 
 
 def write_embeddings(path, data):
@@ -14,6 +17,20 @@ def write_embeddings(path, data):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def spy_on_kernel_blocks(monkeypatch):
+    """Shapes of the kernel blocks of more than one row built from here on."""
+    blocks = []
+
+    def spy(x, y, spec):
+        if len(x) > 1:
+            blocks.append((len(x), len(y)))
+        return cross(x, y, spec)
+
+    monkeypatch.setattr(divkit.kernels, "cross", spy)
+    monkeypatch.setattr(divkit.discrepancy, "cross", spy)
+    return blocks
 
 
 def test_score_identical_points(tmp_path, capsys):
@@ -45,6 +62,21 @@ def test_score_against_includes_discrepancies(tmp_path, capsys):
     assert out["against"]["kd_squared"] > 0.0
 
 
+@pytest.mark.parametrize("kernel, blocks_built", [
+    (["--kernel", "gaussian", "--bandwidth", "1.0"], [(20, 20), (20, 25), (25, 25)]),
+    (["--kernel", "cosine"], []),  # cosine scores and MMD come from the unit rows
+])
+def test_score_against_builds_each_kernel_block_once(tmp_path, monkeypatch, kernel, blocks_built):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    rng = np.random.default_rng(0)
+    write_embeddings(a, rng.normal(size=(20, 3)))
+    write_embeddings(b, rng.normal(size=(25, 3)) + 1.0)
+    blocks = spy_on_kernel_blocks(monkeypatch)
+    assert run_cli(["score", a, "--against", b] + kernel) == 0
+    assert sorted(blocks) == blocks_built
+
+
 def test_score_usage_errors(tmp_path, capsys):
     p = tmp_path / "x.csv"
     write_embeddings(p, np.ones((3, 2)))
@@ -65,9 +97,12 @@ def test_score_data_error_exit_code(tmp_path):
 
 
 def test_score_numeric_error_exit_code(tmp_path):
+    # the cap bounds the order of the eigensolved matrix: d x d for cosine when d < n
     p = tmp_path / "big.csv"
-    write_embeddings(p, np.random.default_rng(1).normal(size=(30, 2)))
+    write_embeddings(p, np.random.default_rng(1).normal(size=(30, 12)))
     assert run_cli(["score", p, "--kernel", "cosine", "--size-cap", "10"]) == 3
+    write_embeddings(p, np.random.default_rng(1).normal(size=(30, 2)))
+    assert run_cli(["score", p, "--kernel", "cosine", "--size-cap", "10"]) == 0
 
 
 def test_bias_command_byte_identical_reruns(tmp_path):
@@ -193,6 +228,20 @@ def test_guide_command_eta_zero_blocks_equal(tmp_path):
     guided = load_embeddings(os.path.join(run_dir, "guided.embd"))
     unguided = load_embeddings(os.path.join(run_dir, "unguided.embd"))
     assert np.array_equal(guided.data, unguided.data)
+
+
+def test_guide_command_builds_each_metric_block_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "guide.json"
+    cfg.write_text(json.dumps({
+        "layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": 2.0},
+        "n_samples": 20,
+        "schedule": {"kind": "cosine", "steps": 40},
+        "seed": 3,
+    }))
+    blocks = spy_on_kernel_blocks(monkeypatch)
+    assert run_cli(["guide", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    # the target's Gram once; per measured set its Gram and its block against the target
+    assert blocks == [(20, 20)] * 5
 
 
 @pytest.mark.parametrize("stochastic", [True, False])

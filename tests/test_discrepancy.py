@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divkit.dataio import EmbeddingSet, RunSeed
 from divkit.discrepancy import (
@@ -9,8 +11,8 @@ from divkit.discrepancy import (
     mmd2,
 )
 from divkit.entropy import WeightVector
-from divkit.errors import DimensionMismatch, TooFewSamples
-from divkit.kernels import KernelSpec, gaussian_kernel, gram, gram_from_values
+from divkit.errors import DataError, DimensionMismatch, TooFewSamples
+from divkit.kernels import KernelSpec, cross, gaussian_kernel, gram, gram_from_values
 
 
 def test_kd_zero_at_equal_weights():
@@ -131,6 +133,62 @@ def test_mmd2_both_estimators_match_double_loop(m, n):
     assert got_unbiased == pytest.approx(unbiased, rel=1e-12, abs=1e-15)
     rep = compare(EmbeddingSet(x), EmbeddingSet(y), spec)
     assert (rep.kd_squared, rep.mmd2_unbiased) == (got_biased, got_unbiased)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    n=st.integers(1, 60),
+    d=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(0.0, 3.0),
+)
+def test_cosine_mmd2_from_row_sums_matches_block_oracle(m, n, d, seed, shift):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-6, 6, size=(m, 1))
+    y = rng.normal(size=(n, d)) + shift
+    spec = KernelSpec("cosine")
+    kxx, kyy, kxy = cross(x, x, spec), cross(y, y, spec), cross(x, y, spec)
+    biased = max(kxx.mean() + kyy.mean() - 2.0 * kxy.mean(), 0.0)
+    got_biased, got_unbiased = mmd2(EmbeddingSet(x), EmbeddingSet(y), spec)
+    assert got_biased == pytest.approx(biased, rel=0.0, abs=1e-12)
+    if m < 2 or n < 2:
+        assert got_unbiased is None
+        return
+    unbiased = (
+        (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
+        + (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
+        - 2.0 * kxy.mean()
+    )
+    assert got_unbiased == pytest.approx(unbiased, rel=0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 50),
+    n=st.integers(1, 50),
+    d=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bandwidth=st.floats(0.05, 20.0),
+)
+def test_compare_with_prebuilt_gaussian_grams_is_bitwise_equal(m, n, d, seed, bandwidth):
+    rng = np.random.default_rng(seed)
+    x = EmbeddingSet(rng.normal(size=(m, d)))
+    y = EmbeddingSet(rng.normal(size=(n, d)) + 0.3)
+    spec = KernelSpec("gaussian", bandwidth)
+    plain = compare(x, y, spec)
+    assert compare(x, y, spec, gram(x, spec), gram(y, spec)) == plain
+    assert compare(x, y, spec, gram(x, spec)) == plain
+
+
+def test_prebuilt_gram_must_match_its_set():
+    x = EmbeddingSet(np.random.default_rng(2).normal(size=(6, 2)))
+    y = EmbeddingSet(np.random.default_rng(3).normal(size=(5, 2)))
+    spec = KernelSpec("gaussian", 1.0)
+    with pytest.raises(DataError):
+        mmd2(x, y, spec, kxx=gram(y, spec))
+    with pytest.raises(DataError):
+        mmd2(x, y, spec, kyy=gram(y, KernelSpec("gaussian", 2.0)))
 
 
 # -- Frechet distance -----------------------------------------------------------

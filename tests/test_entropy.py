@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
 from divkit.dataio import EmbeddingSet, RunSeed
+from divkit.discrepancy import mmd2
+import divkit.entropy
 from divkit.entropy import (
+    DEFAULT_SIZE_CAP,
     DiversityScore,
     SpectrumReport,
     WeightVector,
@@ -13,6 +16,7 @@ from divkit.entropy import (
     rke,
     score_gram,
     vendi,
+    vendi_with_gram,
     vne_gradient,
     vne_weighted,
     von_neumann_entropy,
@@ -359,3 +363,110 @@ def test_cube_mixture_log_vendi_matches_blockwise_oracle():
     oracle = min(float(-(live * np.log(live)).sum()), np.log(k.n))
     assert len(np.unique(vertex)) < k.n  # some vertices hold several samples
     assert score_gram(k).log_vendi == pytest.approx(oracle, abs=1e-13)
+
+
+# -- cosine scores from the feature factor ---------------------------------------
+
+@st.composite
+def cosine_sets(draw):
+    """Sets with n in [2, 60], d in [1, 80]: d < n, d = n and d > n all occur.
+
+    Rows are low-rank mixes, repeated in part, at scales spread over 10^+-6
+    (the cosine kernel is scale-invariant per row).
+    """
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 80))
+    rank = draw(st.integers(1, d))
+    unique = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(unique, rank)) @ rng.normal(size=(rank, d))
+    x = x[rng.integers(0, unique, size=n)] * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+    assume(np.linalg.norm(x, axis=1).min() > 0.0)
+    return EmbeddingSet(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=cosine_sets())
+def test_cosine_factor_scores_match_gram_oracle(x):
+    spec = KernelSpec("cosine")
+    got, k = vendi_with_gram(x, spec)
+    want = score_gram(gram(x, spec))
+    assert (k is None) == (x.d < x.n)
+    assert got.vendi == pytest.approx(want.vendi, rel=1e-12)
+    # log-Vendi's rounding error is absolute (that of Vendi is relative), and
+    # log-Vendi is 0 when all rows are parallel
+    assert got.log_vendi == pytest.approx(want.log_vendi, rel=1e-12, abs=1e-14)
+    assert got.rke == pytest.approx(want.rke, rel=1e-12)
+
+
+def test_cosine_factor_eigensolves_d_by_d(monkeypatch):
+    seen = []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or solver(a))
+    x = EmbeddingSet(np.random.default_rng(4).normal(size=(50, 7)))
+    vendi(x, KernelSpec("cosine"))
+    vendi(EmbeddingSet(x.data[:5]), KernelSpec("cosine"))
+    assert seen == [(7, 7), (5, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["gaussian", "cosine"]),
+)
+def test_scores_permutation_invariant_and_rke_below_vendi(n, d, seed, family):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, d))
+    spec = KernelSpec(family, 1.0 if family == "gaussian" else None)
+    a = vendi(EmbeddingSet(data), spec)
+    b = vendi(EmbeddingSet(data[rng.permutation(n)]), spec)
+    assert b.vendi == pytest.approx(a.vendi, rel=1e-12)
+    assert b.rke == pytest.approx(a.rke, rel=1e-12)
+    assert a.rke <= a.vendi * (1.0 + 1e-12)
+
+
+def test_cosine_scores_of_rows_beyond_the_float_square_range():
+    # squares of 1e+-200 over- or underflow; the cosine kernel only sees directions
+    rng = np.random.default_rng(12)
+    spec = KernelSpec("cosine")
+    data = rng.normal(size=(30, 4))
+    scaled = data * 10.0 ** rng.choice([-200.0, 0.0, 200.0], size=(30, 1))
+    ref = EmbeddingSet(rng.normal(size=(10, 4)))
+    for rows in (30, 3):  # feature-factor path and Gram path
+        want = vendi(EmbeddingSet(data[:rows]), spec)
+        got = vendi(EmbeddingSet(scaled[:rows]), spec)
+        assert got.vendi == pytest.approx(want.vendi, rel=1e-12)
+        assert got.rke == pytest.approx(want.rke, rel=1e-12)
+        got_mmd = mmd2(EmbeddingSet(scaled[:rows]), ref, spec)
+        assert got_mmd == pytest.approx(mmd2(EmbeddingSet(data[:rows]), ref, spec), abs=1e-12)
+
+
+def _no_gram(*args, **kwargs):
+    raise AssertionError("an n x n Gram was built")
+
+
+def test_cosine_scores_past_the_size_cap(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(divkit.entropy, "gram", _no_gram)
+    n = DEFAULT_SIZE_CAP + 1
+    x = EmbeddingSet(np.random.default_rng(8).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        s = vendi(x, KernelSpec("cosine"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n == n and 1.0 <= s.rke <= s.vendi <= 3.0 + 1e-9
+    assert peak < 10 * x.data.nbytes  # an n x n float array would take 3.2 GB
+
+
+def test_gaussian_past_the_size_cap_raises_before_any_gram(monkeypatch):
+    monkeypatch.setattr(divkit.entropy, "gram", _no_gram)
+    x = EmbeddingSet(np.random.default_rng(8).normal(size=(DEFAULT_SIZE_CAP + 1, 3)))
+    with pytest.raises(SizeCapExceeded):
+        vendi(x, KernelSpec("gaussian", 1.0))
+    with pytest.raises(SizeCapExceeded):
+        vendi(EmbeddingSet(x.data[:20]), KernelSpec("cosine"), size_cap=2)

@@ -199,16 +199,19 @@ def test_rke_penalized_duplicate_pair_grid_oracle():
     q = res.q_star.weights
     assert q[0] < q[2] and q[1] < q[2]
 
-    k2 = hadamard_square(k)
-    q0 = WeightVector.uniform(3)
-    best = None
-    for w1 in np.arange(0.0, 1.0001, 1e-3):
-        for w2 in np.arange(0.0, 1.0001 - w1, 1e-3):
-            cand = WeightVector(np.array([w1, w2, max(1.0 - w1 - w2, 0.0)]))
-            val = kd_fixed_support(k, cand, q0) + lam * inverse_rke_weighted(k2, cand)
-            if best is None or val < best[1]:
-                best = (cand.weights, val)
-    assert np.abs(q - best[0]).max() < 2e-3
+    # the objective kd_fixed_support(k, c, q0) + lam * inverse_rke_weighted(k2, c)
+    # on every grid point c at once, rows normalized as WeightVector does
+    w1 = np.arange(0.0, 1.0001, 1e-3)
+    w2 = [np.arange(0.0, 1.0001 - a, 1e-3) for a in w1]
+    w1 = np.repeat(w1, [len(b) for b in w2])
+    w2 = np.concatenate(w2)
+    cand = np.stack([w1, w2, np.maximum(1.0 - w1 - w2, 0.0)], axis=1)
+    cand /= cand.sum(axis=1, keepdims=True)
+    diff = cand - WeightVector.uniform(3).weights
+    kd = np.maximum(np.einsum("ij,jk,ik->i", diff, k.values, diff), 0.0)
+    k2 = hadamard_square(k).values
+    val = kd + lam * np.einsum("ij,jk,ik->i", cand, k2, cand)
+    assert np.abs(q - cand[np.argmin(val)]).max() < 2e-3
 
 
 def test_rke_penalized_rke_improves_on_imbalanced_gram():
