@@ -6,7 +6,8 @@ squared MMD between two reweightings of the same points.  The two-sample
 block sums: under the Gaussian kernel from blocks built once by
 :func:`kernels.cross` (or passed in prebuilt), under the cosine kernel from
 the row sums of the unit rows, with no n x n block.  FD is computed on raw
-embedding vectors with unbiased (n-1) covariances.
+embedding vectors with unbiased (n-1) covariances; its eigensolves go through
+``entropy._eigensolve``, so an overflowing covariance raises NumericError.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import EmbeddingSet
-from .entropy import WeightVector
+from .entropy import WeightVector, _eigensolve
 from .errors import DataError, DimensionMismatch, NumericError, TooFewSamples
 from .kernels import GramMatrix, KernelSpec, cross, unit_rows
 
@@ -102,7 +103,7 @@ def mmd2(
 
 def _sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric square root with negative eigenvalues clamped at 0."""
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
+    vals, vecs = _eigensolve(a, vectors=True)
     root = np.sqrt(np.maximum(vals, 0.0))
     return (vecs * root) @ vecs.T
 
@@ -115,11 +116,11 @@ def frechet_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
         raise TooFewSamples("Frechet distance needs at least 2 samples per set")
     mu_x = x.data.mean(axis=0)
     mu_y = y.data.mean(axis=0)
-    cov_x = np.cov(x.data, rowvar=False).reshape(x.d, x.d)
-    cov_y = np.cov(y.data, rowvar=False).reshape(y.d, y.d)
-    root_x = _sqrt_psd(cov_x)
-    inner = root_x @ cov_y @ root_x
-    cross_vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov_x = np.cov(x.data, rowvar=False).reshape(x.d, x.d)
+        cov_y = np.cov(y.data, rowvar=False).reshape(y.d, y.d)
+        root_x = _sqrt_psd(cov_x)
+        cross_vals = _eigensolve(root_x @ cov_y @ root_x)
     tr_cross = np.sqrt(np.maximum(cross_vals, 0.0)).sum()
     diff = mu_x - mu_y
     val = float(diff @ diff + np.trace(cov_x) + np.trace(cov_y) - 2.0 * tr_cross)

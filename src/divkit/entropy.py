@@ -61,12 +61,14 @@ def _eigensolve(a: np.ndarray, vectors: bool = False):
 
     Entries below ``_FLUSH_RATIO * max|a|`` in magnitude become exactly 0 (see
     the module docstring).  The flush runs in place on the symmetrized copy;
-    its boolean temporaries are gone before LAPACK runs.  LAPACK failures surface as
-    ``NumericError``.
+    its boolean temporaries are gone before LAPACK runs.  Non-finite entries
+    and LAPACK failures surface as ``NumericError``.
     """
     a = (a + a.T) / 2.0
-    lo = a.min()
-    cutoff = _FLUSH_RATIO * max(a.max(), -lo)
+    lo, hi = a.min(), a.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("eigendecomposition of a matrix with non-finite entries")
+    cutoff = _FLUSH_RATIO * max(hi, -lo)
     if lo < cutoff:
         np.copyto(a, 0.0, where=(a < cutoff) & (a > -cutoff))
     try:
@@ -121,14 +123,15 @@ class SpectrumReport:
     floor: float = SPECTRAL_FLOOR
 
     @staticmethod
-    def from_matrix(a: np.ndarray, floor: float = SPECTRAL_FLOOR) -> "SpectrumReport":
+    def from_matrix(a: np.ndarray, floor: float = SPECTRAL_FLOOR, vals=None) -> "SpectrumReport":
+        """Checked spectrum of ``a``; ``vals`` are its ascending eigenvalues if already solved."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"expected a square matrix, got shape {a.shape}")
         trace = float(np.trace(a))
         if abs(trace - 1.0) > 1e-6:
             raise NotUnitTrace(f"trace is {trace!r}, expected 1")
-        vals = _eigensolve(a)
+        vals = _eigensolve(a) if vals is None else vals
         if vals[0] < -1e-10:
             raise NotPSD(f"smallest eigenvalue {vals[0]:.3e} below tolerance")
         vals = np.maximum(vals[::-1], 0.0)
@@ -261,11 +264,19 @@ def vne_weighted(k: GramMatrix, q: WeightVector, floor: float = SPECTRAL_FLOOR) 
     return von_neumann_entropy(weighted_gram(k, q), floor)
 
 
+def _weighted_eigh(k: GramMatrix, q: WeightVector) -> tuple[float, tuple]:
+    """``vne_weighted(k, q)`` and the eigenpairs of A(q) from one ``eigh``, for ``vne_gradient``."""
+    a = weighted_gram(k, q)
+    eig = _eigensolve(a, vectors=True)
+    return von_neumann_entropy(SpectrumReport.from_matrix(a, vals=eig[0])), eig
+
+
 def vne_gradient(
     k: GramMatrix,
     q: WeightVector,
     floor: float = SPECTRAL_FLOOR,
     weight_floor: float = WEIGHT_FLOOR,
+    eig: tuple | None = None,
 ) -> np.ndarray:
     """Gradient of ``vne_weighted`` with respect to the weights.
 
@@ -281,9 +292,10 @@ def vne_gradient(
     Weights at or below ``weight_floor`` take the analytically continued
     limit with the floor substituted for q_i in the division; components with
     exactly zero weight get a zero gradient (they carry no spectral mass).
+    ``eig`` takes the eigenpairs of A(q) if they are already solved.
     """
     _check_dims(k, q)
-    lam, u = _eigensolve(weighted_gram(k, q), vectors=True)
+    lam, u = _eigensolve(weighted_gram(k, q), vectors=True) if eig is None else eig
     lam_pos = np.maximum(lam, 0.0)
     log_term = np.log(np.maximum(lam, floor)) + 1.0
     mass = (u * u) @ (lam_pos * log_term)

@@ -1,17 +1,17 @@
 """Entropy projection of weights over a fixed sample support.
 
-Three simplex programs over the weights q of a reweighted empirical measure,
-all driven by exponentiated-gradient (KL mirror descent) updates:
+Three simplex programs over the weights q of a reweighted empirical measure:
 
 * ``vne_constrained``: minimize (q-q0)^T K (q-q0) subject to a von Neumann
   entropy target H(q) >= rho, via a primal-dual loop with multiplier lambda.
 * ``vne_penalized``: minimize (q-q0)^T K (q-q0) - lambda * H(q).
 * ``rke_penalized``: minimize (q-q0)^T K (q-q0) + lambda * q^T Ktilde q with
-  Ktilde the entrywise square of K; fully quadratic, no eigendecompositions
-  inside the loop.
+  Ktilde the entrywise square of K; a convex quadratic program, solved
+  exactly by an active-set method without eigendecompositions.
 
-q0 is always uniform.  Penalized objectives are convex, so backtracking makes
-the objective trace nonincreasing and the limit a global optimum.
+q0 is always uniform.  The VNE modes share one exponentiated-gradient (KL
+mirror descent) line search.  Penalized objectives are convex, so their
+traces never increase, and both report the Frank-Wolfe gap at q*.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import numpy as np
 
 from .discrepancy import kd_fixed_support
 from .entropy import (
+    SPECTRAL_FLOOR,
     WEIGHT_FLOOR,
     WeightVector,
+    _weighted_eigh,
     inverse_rke_weighted,
     vne_gradient,
     vne_weighted,
@@ -40,6 +42,7 @@ _LAMBDA_CEILING = 1e6
 _STAGNATION_WINDOW = 100
 _STAGNATION_EPS = 1e-12
 _ETA_GROWTH_CAP = 1024.0
+_EPS = float(np.finfo(np.float64).eps)
 
 _LOG = logging.getLogger("divkit")
 
@@ -50,7 +53,8 @@ class ProjectionConfig:
 
     ``rho`` (entropy target, nats) applies to vne_constrained only; ``lam``
     to the penalized modes.  Both may also be passed directly to the solver
-    functions, which take precedence.
+    functions, which take precedence.  ``eta`` and ``gamma`` apply to the VNE
+    modes only; for rke_penalized ``max_iters`` counts support changes.
     """
 
     mode: str
@@ -79,7 +83,8 @@ class ProjectionResult:
 
     ``entropy_trace`` records the von Neumann entropy for the VNE modes and
     the order-2 entropy log(1 / q^T Ktilde q) for rke_penalized (keeping that
-    mode free of eigendecompositions).
+    mode free of eigendecompositions).  ``gap`` (not in the payload) is the
+    penalized modes' Frank-Wolfe gap g.q* - min_i g_i; None for vne_constrained.
     """
 
     q_star: WeightVector
@@ -94,6 +99,7 @@ class ProjectionResult:
     vendi_after: float
     rke_before: float
     rke_after: float
+    gap: float | None = None
 
     def to_payload(self) -> dict:
         return {
@@ -154,6 +160,7 @@ def _finish(
     status: str,
     iterations: int,
     mode: str,
+    gap: float | None = None,
 ) -> ProjectionResult:
     if status != "converged":
         _LOG.warning("%s projection stopped with status %s after %d iterations",
@@ -174,6 +181,7 @@ def _finish(
         vendi_after=math.exp(h_star),
         rke_before=1.0 / inverse_rke_weighted(k2, q0),
         rke_after=1.0 / inverse_rke_weighted(k2, q_star),
+        gap=gap,
     )
 
 
@@ -181,6 +189,63 @@ def _kd_and_grad(k: GramMatrix, q: WeightVector, q0: WeightVector):
     diff = q.weights - q0.weights
     kdiff = k.values @ diff
     return float(diff @ kdiff), 2.0 * kdiff
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A VNE iterate: KD to q0 and its gradient, H(q), and the eigenpairs of A(q)."""
+
+    q: WeightVector
+    kd: float
+    kd_grad: np.ndarray
+    h: float
+    eig: tuple
+
+
+def _screen_slack(at: _Point, weight_floor: float) -> float | None:
+    """Rounding cushion of the tangent screen at ``at``; None where it must not run.
+
+    H is concave (A(q) shares its nonzero spectrum with Phi^T diag(q) Phi,
+    linear in q), so H(c) <= H(q) + grad H(q).(c - q).  The computed H and
+    gradient are exact up to rounding only with no eigenvalue of A(q) at the
+    SPECTRAL_FLOOR clamp and no weight at the weight floor.  An eigenvalue
+    comes out within a few eps and H moves by |log lam + 1| per unit of it:
+    a computed entropy or slope is off by about n eps (1 + |log lam_min|), and
+    the cushion allows four.  Dropping sub-floor eigenvalues only lowers H(c).
+    """
+    lam_min = float(at.eig[0][0])
+    if lam_min <= SPECTRAL_FLOOR or at.q.weights.min() <= weight_floor:
+        return None
+    return 4.0 * at.q.n * _EPS * (1.0 - math.log(lam_min))
+
+
+def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
+    """Backtracking EG from ``at`` on kd(q) + lam * (rho - H(q)): the first of
+    eta, eta/2, ... whose value is below ``at``'s by more than ``margin``.
+
+    A candidate whose tangent bound (``_screen_slack``) fails the test is
+    rejected without an eigensolve; rounding is monotone, so the bound never
+    exceeds the solved value.  Others are solved once with ``eigh``, and the
+    accepted point's eigenpairs give the next gradient.  Returns that point
+    (or None) and the next eta.
+    """
+    grad_h = vne_gradient(k, at.q, weight_floor=cfg.weight_floor, eig=at.eig)
+    g = at.kd_grad - lam * grad_h
+    bar = at.kd + lam * (rho - at.h) - margin
+    slack = _screen_slack(at, cfg.weight_floor)
+    for tries in range(_MAX_BACKTRACKS):
+        cand = _hold_floor(eg_step(at.q, g, eta), cfg.weight_floor)
+        kd, kd_grad = _kd_and_grad(k, cand, q0)
+        tangent = None if slack is None else at.h + float(grad_h @ (cand.weights - at.q.weights))
+        if tangent is None or kd + lam * (rho - (tangent + slack)) < bar:
+            h, eig = _weighted_eigh(k, cand)
+            if kd + lam * (rho - h) < bar:
+                # grow the step while the line search accepts immediately
+                grown = (min(eta * 2.0, cfg.eta * _ETA_GROWTH_CAP) if tries == 0
+                         else max(eta, cfg.eta * 2.0**-30))
+                return _Point(cand, kd, kd_grad, h, eig), grown
+        eta /= 2.0
+    return None, cfg.eta
 
 
 def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -202,22 +267,20 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
         raise BadArguments(f"rho must be finite, got {rho}")
     n = k.n
     q0 = WeightVector.uniform(n)
-    q = q0
-    h = vne_weighted(k, q)
-    kd, kd_grad = _kd_and_grad(k, q, q0)
-    objective_trace = [kd]
-    entropy_trace = [h]
+    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    objective_trace = [at.kd]
+    entropy_trace = [at.h]
     lam = 0.0
     dual_trace = [lam]
 
-    if h >= rho:
-        return _finish(k, q, q0, objective_trace, entropy_trace, dual_trace,
+    if at.h >= rho:
+        return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
                        "converged", 0, cfg.mode)
     if rho > math.log(n) + 1e-12:
-        return _finish(k, q, q0, objective_trace, entropy_trace, dual_trace,
+        return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
                        "infeasible", 0, cfg.mode)
 
-    violations = [rho - h]
+    violations = [rho - at.h]
     status = "max_iters"
     iterations = cfg.max_iters
     best_q, best_kd, since_improved = None, np.inf, 0
@@ -225,42 +288,19 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
     gamma_run = cfg.gamma
     infeasible_streak = 0
     for t in range(cfg.max_iters):
-        grad_h = vne_gradient(k, q, weight_floor=cfg.weight_floor)
-        g = kd_grad - lam * grad_h
-        lagrangian = kd + lam * (rho - h)
-
-        eta = eta_run
-        new_q, new_h, new_kd, new_kd_grad = q, h, kd, kd_grad
-        moved = False
-        first_try = True
         # demand descent beyond eigensolver noise; a primal sitting at its
         # lambda-conditional optimum then simply stays put for this round
-        margin = 1e-13 * (1.0 + lam + abs(lagrangian))
-        for _ in range(_MAX_BACKTRACKS):
-            cand = _hold_floor(eg_step(q, g, eta), cfg.weight_floor)
-            cand_kd, cand_kd_grad = _kd_and_grad(k, cand, q0)
-            cand_h = vne_weighted(k, cand)
-            if cand_kd + lam * (rho - cand_h) <= lagrangian - margin:
-                new_q, new_h, new_kd, new_kd_grad = cand, cand_h, cand_kd, cand_kd_grad
-                moved = True
-                break
-            eta /= 2.0
-            first_try = False
-        if moved:
-            # grow the step while the line search accepts immediately
-            eta_run = min(eta * 2.0, cfg.eta * _ETA_GROWTH_CAP) if first_try else max(
-                eta, cfg.eta * 2.0**-30
-            )
-        else:
-            eta_run = cfg.eta  # nothing descends: wait for the dual to move
-        step_norm = float(np.abs(new_q.weights - q.weights).max()) if moved else 0.0
-        q, h, kd, kd_grad = new_q, new_h, new_kd, new_kd_grad
+        margin = 1e-13 * (1.0 + lam + abs(at.kd + lam * (rho - at.h)))
+        # when nothing descends, eta_run resets: wait for the dual to move
+        new, eta_run = _vne_line_search(k, q0, at, lam, rho, eta_run, margin, cfg)
+        step_norm = 0.0 if new is None else float(np.abs(new.q.weights - at.q.weights).max())
+        at = at if new is None else new
 
-        lam = max(0.0, lam + gamma_run * (rho - h))
-        violation = max(0.0, rho - h)
+        lam = max(0.0, lam + gamma_run * (rho - at.h))
+        violation = max(0.0, rho - at.h)
         violations.append(violation)
-        objective_trace.append(kd)
-        entropy_trace.append(h)
+        objective_trace.append(at.kd)
+        entropy_trace.append(at.h)
         dual_trace.append(lam)
 
         # speed up the dual tail: grow gamma while the iterate stays strictly
@@ -274,8 +314,8 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             gamma_run = cfg.gamma
             infeasible_streak = 0
 
-        if violation <= cfg.tol and kd < best_kd - 1e-12 * max(1.0, abs(best_kd)):
-            best_q, best_kd, since_improved = q, kd, 0
+        if violation <= cfg.tol and at.kd < best_kd - 1e-12 * max(1.0, abs(best_kd)):
+            best_q, best_kd, since_improved = at.q, at.kd, 0
         else:
             since_improved += 1
 
@@ -296,62 +336,8 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             iterations = t + 1
             break
 
-    if best_q is not None:
-        q = best_q
-    return _finish(k, q, q0, objective_trace, entropy_trace, dual_trace,
-                   status, iterations, cfg.mode)
-
-
-def _descend_penalized(k, cfg, evaluate, grad, mode):
-    """Generic EG descent with backtracking for the two penalized programs.
-
-    ``evaluate(q)`` returns ``(objective, entropy)`` at one point, so every
-    evaluated point is solved once and an accepted candidate's entropy is
-    reused for the trace.
-    """
-    n = k.n
-    q0 = WeightVector.uniform(n)
-    q = q0
-    obj, h = evaluate(q)
-    objective_trace = [obj]
-    entropy_trace = [h]
-    status = "max_iters"
-    iterations = cfg.max_iters
-    eta_run = cfg.eta
-    for t in range(cfg.max_iters):
-        g = grad(q)
-        eta = eta_run
-        accepted = None
-        first_try = True
-        for _ in range(_MAX_BACKTRACKS):
-            cand = _hold_floor(eg_step(q, g, eta), cfg.weight_floor)
-            cand_obj, cand_h = evaluate(cand)
-            if cand_obj < obj:
-                accepted = (cand, cand_obj, cand_h)
-                break
-            eta /= 2.0
-            first_try = False
-        if accepted is not None:
-            eta_run = min(eta * 2.0, cfg.eta * _ETA_GROWTH_CAP) if first_try else max(
-                eta, cfg.eta * 2.0**-30
-            )
-        if accepted is None:
-            # no descent at floating precision: stationary
-            status = "converged"
-            iterations = t
-            break
-        new_q, new_obj, h = accepted
-        step_norm = float(np.abs(new_q.weights - q.weights).max())
-        rel_change = (obj - new_obj) / max(abs(obj), 1e-300)
-        q, obj = new_q, new_obj
-        objective_trace.append(obj)
-        entropy_trace.append(h)
-        if rel_change <= cfg.tol and step_norm <= cfg.tol:
-            status = "converged"
-            iterations = t + 1
-            break
-    return _finish(k, q, q0, objective_trace, entropy_trace, [],
-                   status, iterations, mode)
+    return _finish(k, at.q if best_q is None else best_q, q0, objective_trace,
+                   entropy_trace, dual_trace, status, iterations, cfg.mode)
 
 
 def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -365,40 +351,134 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     if lam < 0:
         raise BadArguments(f"lambda must be >= 0, got {lam}")
     q0 = WeightVector.uniform(k.n)
-
-    def evaluate(q: WeightVector) -> tuple:
-        diff = q.weights - q0.weights
-        h = vne_weighted(k, q)
-        return float(diff @ k.values @ diff) - lam * h, h
-
-    def grad(q: WeightVector) -> np.ndarray:
-        return 2.0 * (k.values @ (q.weights - q0.weights)) - lam * vne_gradient(
-            k, q, weight_floor=cfg.weight_floor
-        )
-
-    return _descend_penalized(k, cfg, evaluate, grad, cfg.mode)
+    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    objective_trace = [at.kd - lam * at.h]
+    entropy_trace = [at.h]
+    status, iterations = "max_iters", cfg.max_iters
+    eta_run = cfg.eta
+    for t in range(cfg.max_iters):
+        new, eta_run = _vne_line_search(k, q0, at, lam, 0.0, eta_run, 0.0, cfg)
+        if new is None:
+            # no descent at floating precision: stationary
+            status, iterations = "converged", t
+            break
+        step_norm = float(np.abs(new.q.weights - at.q.weights).max())
+        at = new
+        objective_trace.append(at.kd - lam * at.h)
+        entropy_trace.append(at.h)
+        obj, new_obj = objective_trace[-2:]
+        if (obj - new_obj) / max(abs(obj), 1e-300) <= cfg.tol and step_norm <= cfg.tol:
+            status, iterations = "converged", t + 1
+            break
+    g = at.kd_grad - lam * vne_gradient(k, at.q, weight_floor=cfg.weight_floor, eig=at.eig)
+    return _finish(k, at.q, q0, objective_trace, entropy_trace, [], status, iterations,
+                   cfg.mode, float(g @ at.q.weights - g.min()))
 
 
 def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
-    """Minimize (q-q0)^T K (q-q0) + lam * q^T Ktilde q over the simplex.
+    """Minimize f(q) = (q-q0)^T K (q-q0) + lam * q^T Ktilde q over the simplex.
 
-    Both quadratic forms are PSD (Ktilde by the Schur product theorem), so
-    the program is convex and the backtracked EG iterates settle at a global
-    optimum within tolerance.
+    f = q^T H q - 2 (K q0)^T q + const, H = K + lam * Ktilde PSD: a convex QP,
+    solved exactly by a primal active-set method.  Each step is the Newton
+    step from the gradient g to the minimizer over the support's face; one
+    that would leave the simplex stops at the first weight to reach 0 and
+    drops it, and at a face minimizer the index with the most negative
+    g_j - g.q joins.  The stop is the Frank-Wolfe gap g.q - min g <= tol.
+    The face's KKT system is solved with the Cholesky factor of
+    G = H + 1 1^T on the basis (on the face 1 1^T only shifts the
+    multiplier); an add borders the factor and a drop retriangularizes it by
+    Givens rotations, O(n^2) each.  Exact duplicate rows of K share one index
+    and split its weight.  Indices that the first, pivoted, factorization
+    finds dependent (f is flat along them) keep their weight until a full
+    step zeroes it, and are retried after each drop.
     """
     if cfg.mode != "rke_penalized":
         raise DataError(f"config mode is {cfg.mode!r}, expected 'rke_penalized'")
     if lam < 0:
         raise BadArguments(f"lambda must be >= 0, got {lam}")
-    k2 = hadamard_square(k)
-    q0 = WeightVector.uniform(k.n)
+    from scipy.linalg import lapack, qr_delete, solve_triangular
 
-    def evaluate(q: WeightVector) -> tuple:
-        diff = q.weights - q0.weights
-        inverse_rke = inverse_rke_weighted(k2, q)
-        return float(diff @ k.values @ diff) + lam * inverse_rke, -math.log(inverse_rke)
+    _, rep, group = np.unique(k.values, axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()
+    size = np.bincount(group)
+    kk = k.values[np.ix_(rep, rep)]
+    w = w0 = size / k.n
+    m = w.size
+    kk2 = kk * kk
+    gmat = kk + lam * kk2 + 1.0
+    tiny = m * _EPS * gmat.diagonal().max()
+    ufac, piv, rank, _ = lapack.dpstrf(gmat, tol=tiny)
+    chol = np.asfortranarray(np.triu(ufac[:rank, :rank]))
+    basis, pending = list(piv[:rank] - 1), list(piv[rank:] - 1)
 
-    def grad(q: WeightVector) -> np.ndarray:
-        return 2.0 * (k.values @ (q.weights - q0.weights)) + 2.0 * lam * (k2.values @ q.weights)
+    def solve(r, trans=0):
+        return solve_triangular(chol, r, trans=trans, check_finite=False)
 
-    return _descend_penalized(k, cfg, evaluate, grad, cfg.mode)
+    def border(j) -> bool:
+        nonlocal chol
+        col = solve(gmat[basis, j], "T")
+        s = gmat[j, j] - col @ col
+        if s > tiny:
+            chol = np.asfortranarray(np.block([[chol, col[:, None]],
+                                               [np.zeros((1, col.size)), math.sqrt(s)]]))
+            basis.append(j)
+        return s > tiny
+
+    def gradient(w):
+        k2w = kk2 @ w
+        return 2.0 * (kk @ (w - w0) + lam * k2w), float(w @ k2w)
+
+    g, inv_rke = gradient(w)
+    objective_trace = [lam * inv_rke]
+    entropy_trace = [-math.log(inv_rke)]
+    status, iterations = "max_iters", cfg.max_iters
+    at_face_min = False
+    for t in range(cfg.max_iters):
+        if g @ w - g.min() <= cfg.tol:
+            status, iterations = "converged", t
+            break
+        if at_face_min:
+            outside = np.where(np.isin(np.arange(m), basis), np.inf, g)
+            j = int(np.argmin(outside))
+            if outside[j] < g @ w and not border(j):
+                pending.append(j)
+        # the step d with the dependents going to 0 solves
+        # G_BB d_B + mu 1 = -g_B / 2 + G_BD w_D with 1^T d_B = sum(w_D)
+        b = len(basis)
+        rhs = g[basis] / 2.0 - gmat[np.ix_(basis, pending)] @ w[pending]
+        sol = solve(solve(np.column_stack([rhs, np.ones(b)]), "T"))
+        mu = -(sol[:, 0].sum() + w[pending].sum()) / sol[:, 1].sum()
+        d = np.zeros(m)
+        d[basis] = -sol[:, 0] - mu * sol[:, 1]
+        d[pending] = -w[pending]
+        ratio = np.full(m, np.inf)
+        ratio[d < 0] = w[d < 0] / -d[d < 0]
+        out = int(np.argmin(ratio))
+        at_face_min = ratio[out] >= 1.0
+        new_w = np.maximum(w + min(ratio[out], 1.0) * d, 0.0)
+        if at_face_min:
+            pending = []
+        elif out in pending:
+            new_w[out] = 0.0
+            pending.remove(out)
+        else:
+            new_w[out] = 0.0
+            # drop: Givens rotations retriangularize the rows below ``out``
+            pos = basis.index(out)
+            tail = qr_delete(np.eye(b - pos), chol[pos:, pos:], 0, which="col",
+                             check_finite=False)[1][:-1]
+            chol = np.asfortranarray(np.block([[chol[:pos, :pos], chol[:pos, pos + 1:]],
+                                               [np.zeros((b - pos - 1, pos)), tail]]))
+            basis.pop(pos)
+            pending = [j for j in pending if not border(j)]
+        new_w /= new_w.sum()
+        step, w = new_w - w, new_w
+        new_g, inv_rke = gradient(w)
+        # f changes along a step by exactly step.(g + new_g) / 2; every step
+        # descends, so min(0, .) only drops rounding of order eps |step| |g|
+        objective_trace.append(objective_trace[-1] + min(0.0, float(step @ (g + new_g)) / 2.0))
+        entropy_trace.append(-math.log(inv_rke))
+        g = new_g
+    return _finish(k, WeightVector(w[group] / size[group]), WeightVector.uniform(k.n),
+                   objective_trace, entropy_trace, [], status, iterations, cfg.mode,
+                   float(g @ w - g.min()))

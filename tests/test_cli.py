@@ -105,6 +105,18 @@ def test_score_numeric_error_exit_code(tmp_path):
     assert run_cli(["score", p, "--kernel", "cosine", "--size-cap", "10"]) == 0
 
 
+@pytest.mark.parametrize("kernel", [["--kernel", "cosine"], ["--bandwidth", "1.0"]])
+def test_score_fd_overflow_exits_numeric(tmp_path, capsys, kernel):
+    # entries near 1e200 overflow the FD covariances
+    rng = np.random.default_rng(2)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_embeddings(a, rng.normal(size=(20, 3)) * 1e200)
+    write_embeddings(b, rng.normal(size=(20, 3)) * 1e200)
+    assert run_cli(["score", a, "--against", b, *kernel]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("divkit: numeric error:")
+
+
 def test_bias_command_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "bias.json"
     cfg.write_text(json.dumps({

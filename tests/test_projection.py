@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divkit.projection
 
@@ -307,34 +309,159 @@ def test_projection_config_validation():
         )
 
 
-def _cluster_gram(seed=4):
+def _cluster_gram_points(seed=4):
     rng = np.random.default_rng(seed)
-    x = np.vstack([rng.normal(size=(14, 3)) * 0.3, rng.normal(size=(6, 3)) * 0.3 + 3.0])
-    return gram(EmbeddingSet(x), KernelSpec("gaussian", 1.0))
+    return np.vstack([rng.normal(size=(14, 3)) * 0.3, rng.normal(size=(6, 3)) * 0.3 + 3.0])
+
+
+def _cluster_gram(seed=4):
+    return gram(EmbeddingSet(_cluster_gram_points(seed)), KernelSpec("gaussian", 1.0))
+
+
+def _counting(monkeypatch, counts, owner, name):
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
 
 
 @pytest.mark.parametrize("mode", ["vne_penalized", "rke_penalized"])
 def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
-    counts = {"eigvalsh": 0, "eg_step": 0}
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(divkit.projection, "eg_step", counted("eg_step", eg_step))
+    counts = {}
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (divkit.projection, "eg_step"), (divkit.projection, "_weighted_eigh")):
+        _counting(monkeypatch, counts, owner, name)
     k = _cluster_gram()
     cfg = ProjectionConfig(mode, max_iters=60)
     solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
     res = solve(k, 0.05, cfg)
-    assert res.iterations > 5
-    # every candidate is one eg_step; q0 adds one point, and the two
-    # vendi_before/after summaries add two eigensolves
-    evaluated = (1 + counts["eg_step"]) if mode == "vne_penalized" else 0
-    assert counts["eigvalsh"] == evaluated + 2
     assert len(res.entropy_trace) == len(res.objective_trace) == res.iterations + 1
+    # the vendi_before/after summaries are the only eigvalsh calls
+    assert counts.get("eigvalsh", 0) == 2
+    if mode == "vne_penalized":
+        # q0 and each candidate that survives the tangent screen are one eigh
+        # each, and the gradients reuse those eigenpairs
+        survivors = counts["_weighted_eigh"] - 1
+        assert counts["eigh"] == 1 + survivors
+        assert res.iterations <= survivors < counts["eg_step"]
+    else:
+        # no eigensolve inside the active-set loop; the support changed and
+        # the stop is certified by the Frank-Wolfe gap
+        assert counts.get("eigh", 0) == 0
+        assert res.iterations >= 1 and (res.q_star.weights == 0.0).any()
+        assert res.status == "converged" and res.gap <= cfg.tol
+
+
+def _clamped_gram():
+    # three tight clusters: A(q) has eigenvalues far under SPECTRAL_FLOOR
+    rng = np.random.default_rng(5)
+    centers = np.repeat(np.eye(3) * 2.0, [6, 5, 4], axis=0)
+    return gram(EmbeddingSet(centers + rng.normal(size=(15, 3)) * 1e-7), KernelSpec("gaussian", 1.0))
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+@pytest.mark.parametrize("mode", ["vne_penalized", "vne_constrained"])
+def test_tangent_screen_changes_no_iterate(monkeypatch, mode, clamped):
+    k = _clamped_gram() if clamped else _cluster_gram()
+    rho = vne_weighted(k, WeightVector.uniform(k.n)) + 0.05
+
+    def solve():
+        counts = {}
+        _counting(monkeypatch, counts, divkit.projection, "_weighted_eigh")
+        if mode == "vne_penalized":
+            res = project_vendi_penalized(k, 0.05, ProjectionConfig(mode, max_iters=150))
+        else:
+            res = project_vne(k, rho, ProjectionConfig(mode, max_iters=150))
+        monkeypatch.undo()
+        return res, counts["_weighted_eigh"]
+
+    slacks = []
+    real = divkit.projection._screen_slack
+    monkeypatch.setattr(divkit.projection, "_screen_slack",
+                        lambda at, floor: slacks.append(real(at, floor)) or slacks[-1])
+    screened, solves = solve()
+    monkeypatch.setattr(divkit.projection, "_screen_slack", lambda at, floor: None)
+    plain, plain_solves = solve()
+    assert np.array_equal(screened.q_star.weights, plain.q_star.weights)
+    for field in ("objective_trace", "entropy_trace", "dual_trace", "status", "iterations"):
+        assert getattr(screened, field) == getattr(plain, field)
+    if clamped:
+        # the spectral clamp is active at every iterate: the screen stands down
+        assert slacks and all(s is None for s in slacks)
+        assert solves == plain_solves
+    else:
+        assert all(s is not None for s in slacks)
+        assert solves < plain_solves
+
+
+def _benchmark_family_gram(n=200, seed=2, jitter=None):
+    x = np.random.default_rng([seed, n]).standard_normal((n, 8))
+    if jitter is not None:
+        x = x + 0.01 * np.random.default_rng(jitter).standard_normal((n, 8))
+    return gram(EmbeddingSet(x), KernelSpec("gaussian", 2.0))
+
+
+def _rke_objective(k, lam, w):
+    diff = w - 1.0 / k.n
+    return float(diff @ k.values @ diff + lam * w @ hadamard_square(k).values @ w)
+
+
+@pytest.mark.parametrize("jitter", [None, 11])
+def test_rke_penalized_certified_on_benchmark_family(jitter):
+    k = _benchmark_family_gram(jitter=jitter)
+    cfg = ProjectionConfig("rke_penalized")
+    res = project_rke_penalized(k, 0.5, cfg)
+    q = res.q_star.weights
+    g = 2.0 * k.values @ (q - 1.0 / k.n) + 2.0 * 0.5 * hadamard_square(k).values @ q
+    assert res.status == "converged"
+    assert res.gap <= cfg.tol and abs(float(g @ q - g.min()) - res.gap) <= 1e-12
+    assert res.objective_trace[-1] == pytest.approx(_rke_objective(k, 0.5, q), rel=1e-12)
+    assert "gap" not in res.to_payload()
+
+
+def test_rke_penalized_exact_duplicates_share_weight():
+    x = _cluster_gram_points()
+    k = gram(EmbeddingSet(np.vstack([x, x[:4]])), KernelSpec("gaussian", 1.0))
+    res = project_rke_penalized(k, 0.5, ProjectionConfig("rke_penalized"))
+    assert res.status == "converged" and res.gap <= 1e-8
+    q = res.q_star.weights
+    assert np.array_equal(q[:4], q[-4:])
+
+
+def test_rke_penalized_lambda_zero_returns_uniform_at_once():
+    # lambda = 0 and a singular K: q0 is already optimal
+    x = np.random.default_rng(8).normal(size=(12, 2))
+    k = gram(EmbeddingSet(x), KernelSpec("cosine"))
+    res = project_rke_penalized(k, 0.0, ProjectionConfig("rke_penalized"))
+    assert res.status == "converged" and res.iterations == 0
+    assert np.abs(res.q_star.weights - 1.0 / 12).max() < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), d=st.integers(1, 5), lam=st.floats(0.0, 5.0),
+       bandwidth=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_rke_penalized_certificate_property(n, d, lam, bandwidth, seed):
+    rng = np.random.default_rng(seed)
+    k = gram(EmbeddingSet(rng.normal(size=(n, d))), KernelSpec("gaussian", bandwidth))
+    cfg = ProjectionConfig("rke_penalized")
+    res = project_rke_penalized(k, lam, cfg)
+    q = res.q_star.weights
+    assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.status == "converged" and res.gap <= cfg.tol
+    assert (np.diff(res.objective_trace) <= 0.0).all()
+    best = _rke_objective(k, lam, q)
+    for p in rng.dirichlet(np.full(n, 0.5), size=20):
+        assert best <= _rke_objective(k, lam, p) + res.gap + 1e-12
+
+
+def test_gap_is_none_for_vne_constrained():
+    k = _cluster_gram()
+    res = project_vne(k, vne_weighted(k, WeightVector.uniform(k.n)) + 0.05,
+                      ProjectionConfig("vne_constrained", max_iters=20))
+    assert res.gap is None
 
 
 @pytest.mark.parametrize("mode", PROJECTION_MODES)
