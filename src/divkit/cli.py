@@ -1,7 +1,9 @@
 """Command-line front end: reproducible runs driven by JSON config files.
 
 Every run command (curve, bias, project, guide, concentration) reads one
-config file, hashes its canonical serialization, and writes its outputs under
+config file and checks every key and nested field before it writes anything,
+so a malformed config exits 1 and leaves no output.  It then hashes the
+canonical serialization and writes its outputs under
 ``<out_root>/<command>-<hash12>/``.  Re-running an already-hashed config is a
 no-op unless --force is passed, and all outputs are byte-identical across
 re-runs because record timestamps default to 0 (opt into wall-clock stamps
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,14 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refuse exact eigendecompositions above this matrix order "
                             "(n, or d for cosine scores with d < n)")
 
-    for name, help_text in (
-        ("curve", "Vendi score vs sample size from a file or cube mixture"),
-        ("bias", "plug-in entropy bias curve for a uniform discrete law"),
-        ("project", "entropy projection of weights on a fixed support"),
-        ("guide", "guided vs unguided reverse diffusion on a 2D mixture"),
-        ("concentration", "log-Vendi concentration check"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output root (default $DIVKIT_CACHE_DIR or ./divkit_out)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -71,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
+#: default of a config key that must be given
+_REQUIRED = object()
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -88,38 +85,72 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _kernel_from(cfg: dict, key: str = "kernel") -> KernelSpec:
-    doc = cfg.get(key)
+def _read(doc: dict, key: str, cast, default=_REQUIRED):
+    """``cast`` of the value at dotted ``key`` (or of ``default``), whose outer objects must
+    already be checked to be dicts; a missing or bad value is a usage error."""
+    *outer, name = key.split(".")
+    for part in outer:
+        doc = doc[part]
+    value = doc.get(name, default)
+    if value is _REQUIRED:
+        raise UsageError(f"config needs {key!r}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+
+
+def _choose(doc: dict, key: str, choices, default=_REQUIRED) -> str:
+    """The value at ``key``, which must be one of the names ``choices``."""
+    value = _read(doc, key, _raw, default)
+    if not isinstance(value, str) or value not in choices:
+        raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}; got {value!r}")
+    return value
+
+
+def _raw(value):
+    return value
+
+
+def _typed(kind: type, what: str):
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return cast
+
+
+_object, _text = _typed(dict, "a JSON object"), _typed(str, "a string")
+_boolean = _typed(bool, "true or false")
+
+
+def _ints(value) -> list[int]:
+    return [int(v) for v in _typed(list, "a list of integers")(value)]
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _points(value) -> np.ndarray:
+    arr = _floats(value)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ValueError("expected a nonempty list of [x, y] pairs")
+    return arr
+
+
+def _kernel(doc) -> KernelSpec:
     if not isinstance(doc, dict) or "family" not in doc:
-        raise UsageError(f"config needs a {key!r} object with a 'family' field")
+        raise TypeError("expected an object with a 'family' field")
     try:
         return KernelSpec.from_payload(doc)
     except DivkitError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
-def _out_dir(args, command: str, resolved: dict) -> tuple[str, str]:
-    root = args.out or os.environ.get("DIVKIT_CACHE_DIR") or "divkit_out"
-    digest = config_hash(resolved)
-    return os.path.join(root, f"{command}-{digest[:12]}"), digest
-
-
-def _begin_run(args, command: str, cfg: dict) -> tuple[str, str, float] | None:
-    """Resolve the output directory; None means outputs already exist."""
-    out_dir, digest = _out_dir(args, command, cfg)
-    record_path = os.path.join(out_dir, "record.json")
-    if os.path.exists(record_path) and not args.force:
-        print(f"{record_path} already exists for this config; use --force to recompute")
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    stamp = time.time() if args.stamp_time else 0.0
-    return out_dir, digest, stamp
-
-
-def _write_record(out_dir: str, kind: str, payload: dict, digest: str, stamp: float) -> str:
-    path = os.path.join(out_dir, "record.json")
-    dataio.save_record(ResultRecord(kind, payload, digest, stamp), path)
-    return path
+def _seed(c: dict) -> RunSeed:
+    return RunSeed(c["seed"], c["stream_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,320 +171,226 @@ def cmd_score(args) -> int:
     return 0
 
 
-def cmd_bias(args) -> int:
-    cfg = _load_config(args.config)
-    resolved = {
-        "command": "bias",
-        "alphabet_size": int(cfg.get("alphabet_size", 1024)),
-        "sizes": [int(s) for s in cfg.get("sizes", default_bias_grid())],
-        "trials": int(cfg.get("trials", 10)),
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        "stream_id": int(cfg.get("stream_id", 0)),
-    }
-    begun = _begin_run(args, "bias", resolved)
-    if begun is None:
-        return 0
-    out_dir, digest, stamp = begun
-    curve = bias_lab.run_discrete_bias(
-        bias_lab.DiscreteLawSpec(resolved["alphabet_size"]),
-        resolved["sizes"],
-        resolved["trials"],
-        RunSeed(resolved["seed"], resolved["stream_id"]),
-        jobs=args.jobs,
-    )
-    payload = {"config": resolved, "curve": curve.to_payload()}
-    path = _write_record(out_dir, "bias", payload, digest, stamp)
-    dataio.write_text(os.path.join(out_dir, "curve.dat"), bias_lab.curve_to_plot_text(curve))
-    print(path)
-    return 0
-
+# Library functions are looked up on their module at call time, never stored,
+# so wrappers installed on the module see every call.
 
 def default_bias_grid() -> list[int]:
-    sizes = [256 * 2**k for k in range(7)]  # 256 .. 16384
-    sizes.append(20480)
-    return sizes
+    return [256 * 2**k for k in range(7)] + [20480]  # 256 .. 16384, then 20480
 
 
-def cmd_curve(args) -> int:
-    cfg = _load_config(args.config)
-    source_cfg = cfg.get("source")
-    if not isinstance(source_cfg, dict) or "type" not in source_cfg:
-        raise UsageError("config needs a 'source' object with a 'type' field")
-    resolved = {
-        "command": "curve",
-        "source": source_cfg,
-        "kernel": _kernel_from(cfg).to_payload(),
-        "sizes": [int(s) for s in cfg.get("sizes", [64 * 2**k for k in range(7)])],
-        "trials": int(cfg.get("trials", 10)),
-        "size_cap": int(cfg.get("size_cap", DEFAULT_SIZE_CAP)),
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        "stream_id": int(cfg.get("stream_id", 0)),
-    }
-    begun = _begin_run(args, "curve", resolved)
-    if begun is None:
-        return 0
-    out_dir, digest, stamp = begun
-    if source_cfg["type"] == "file":
-        source = dataio.load_embeddings(source_cfg["path"], source_cfg.get("format"))
-    elif source_cfg["type"] == "cube_mixture":
-        source = bias_lab.cube_mixture_sampler(
-            bias_lab.CubeMixtureSpec(
-                int(source_cfg["dimension"]), float(source_cfg.get("component_std", 1e-4))
-            )
-        )
+def _prepare_bias(c: dict):
+    law = bias_lab.DiscreteLawSpec(c["alphabet_size"])
+
+    def run(out_dir: str, jobs: int) -> dict:
+        curve = bias_lab.run_discrete_bias(law, c["sizes"], c["trials"], _seed(c), jobs=jobs)
+        dataio.write_text(os.path.join(out_dir, "curve.dat"), bias_lab.curve_to_plot_text(curve))
+        return {"curve": curve.to_payload()}
+
+    return run
+
+
+def _prepare_curve(c: dict):
+    path = spec = None
+    if _choose(c, "source.type", ("file", "cube_mixture")) == "file":
+        path = _read(c, "source.path", _text)
     else:
-        raise UsageError(f"unknown curve source type {source_cfg['type']!r}")
-    curve = bias_lab.vendi_curve(
-        source,
-        resolved["sizes"],
-        resolved["trials"],
-        KernelSpec.from_payload(resolved["kernel"]),
-        RunSeed(resolved["seed"], resolved["stream_id"]),
-        size_cap=resolved["size_cap"],
-        jobs=args.jobs,
-    )
-    monotone = bias_lab.check_monotone_logvendi(curve)
-    payload = {"config": resolved, "curve": curve.to_payload(), "monotone": monotone.to_payload()}
-    path = _write_record(out_dir, "curve", payload, digest, stamp)
-    dataio.write_text(os.path.join(out_dir, "curve.dat"), bias_lab.curve_to_plot_text(curve))
-    print(path)
-    return 0
+        spec = bias_lab.CubeMixtureSpec(_read(c, "source.dimension", int),
+                                        _read(c, "source.component_std", float, 1e-4))
+    kernel = KernelSpec.from_payload(c["kernel"])
+
+    def run(out_dir: str, jobs: int) -> dict:
+        source = (bias_lab.cube_mixture_sampler(spec) if path is None
+                  else dataio.load_embeddings(path, c["source"].get("format")))
+        curve = bias_lab.vendi_curve(source, c["sizes"], c["trials"], kernel, _seed(c),
+                                     size_cap=c["size_cap"], jobs=jobs)
+        monotone = bias_lab.check_monotone_logvendi(curve)
+        dataio.write_text(os.path.join(out_dir, "curve.dat"), bias_lab.curve_to_plot_text(curve))
+        return {"curve": curve.to_payload(), "monotone": monotone.to_payload()}
+
+    return run
 
 
-def cmd_project(args) -> int:
-    cfg = _load_config(args.config)
-    gram_cfg = cfg.get("gram")
-    if not isinstance(gram_cfg, dict) or "type" not in gram_cfg:
-        raise UsageError("config needs a 'gram' object with a 'type' field")
-    mode = cfg.get("mode", "vne_penalized")
-    resolved = {
-        "command": "project",
-        "gram": gram_cfg,
-        "mode": mode,
-        "rho": cfg.get("rho"),
-        "lambda": cfg.get("lambda"),
-        "vendi_target": cfg.get("vendi_target"),
-        "eta": float(cfg.get("eta", 0.1)),
-        "gamma": float(cfg.get("gamma", 1.0)),
-        "max_iters": int(cfg.get("max_iters", 5000)),
-        "tol": float(cfg.get("tol", 1e-8)),
-    }
-    begun = _begin_run(args, "project", resolved)
-    if begun is None:
-        return 0
-    out_dir, digest, stamp = begun
-    if gram_cfg["type"] == "gram_file":
-        k = load_gram(gram_cfg["path"])
-    elif gram_cfg["type"] == "embeddings":
-        x = dataio.load_embeddings(gram_cfg["path"], gram_cfg.get("format"))
-        k = gram(x, _kernel_from(gram_cfg))
-    else:
-        raise UsageError(f"unknown gram source type {gram_cfg['type']!r}")
-    pcfg = projection.ProjectionConfig(
-        mode=mode,
-        rho=resolved["rho"],
-        lam=resolved["lambda"],
-        eta=resolved["eta"],
-        gamma=resolved["gamma"],
-        max_iters=resolved["max_iters"],
-        tol=resolved["tol"],
-    )
+#: projection mode -> solver; vne_constrained takes the entropy target, the others lambda
+_SOLVERS = {
+    "vne_constrained": lambda k, a, cfg: projection.project_vne(k, a, cfg),
+    "vne_penalized": lambda k, a, cfg: projection.project_vendi_penalized(k, a, cfg),
+    "rke_penalized": lambda k, a, cfg: projection.project_rke_penalized(k, a, cfg),
+}
+
+
+def _prepare_project(c: dict):
+    from_embeddings = _choose(c, "gram.type", ("gram_file", "embeddings")) == "embeddings"
+    path = _read(c, "gram.path", _text)
+    kernel = _read(c, "gram.kernel", _kernel) if from_embeddings else None
+    mode = _choose(c, "mode", _SOLVERS)
+    rho, lam, vendi_target = (_read(c, key, lambda v: None if v is None else float(v))
+                              for key in ("rho", "lambda", "vendi_target"))
     if mode == "vne_constrained":
-        rho = resolved["rho"]
-        if rho is None and resolved["vendi_target"] is not None:
-            rho = float(np.log(resolved["vendi_target"]))
+        if rho is None and vendi_target is not None:
+            rho = float(np.log(vendi_target))
         if rho is None:
             raise UsageError("vne_constrained mode needs 'rho' (nats) or 'vendi_target'")
-        result = projection.project_vne(k, float(rho), pcfg)
-    elif mode == "vne_penalized":
-        result = projection.project_vendi_penalized(k, _require_lambda(resolved), pcfg)
-    elif mode == "rke_penalized":
-        result = projection.project_rke_penalized(k, _require_lambda(resolved), pcfg)
-    else:
-        raise UsageError(f"unknown projection mode {mode!r}")
-    if result.status != "converged":
-        print(f"divkit: warning: {mode} projection stopped with status {result.status} "
-              f"after {result.iterations} iterations", file=sys.stderr)
-    payload = {"config": resolved, "projection": result.to_payload()}
-    path = _write_record(out_dir, "projection", payload, digest, stamp)
-    weights_text = "\n".join(dataio.format_float(w) for w in result.q_star.weights) + "\n"
-    dataio.write_text(os.path.join(out_dir, "weights.txt"), weights_text)
-    print(path)
-    return 0
-
-
-def _require_lambda(resolved: dict) -> float:
-    if resolved["lambda"] is None:
+    elif lam is None:
         raise UsageError("penalized modes need a 'lambda' value")
-    return float(resolved["lambda"])
+    pcfg = projection.ProjectionConfig(mode=mode, rho=rho, lam=lam, eta=c["eta"], gamma=c["gamma"],
+                                       max_iters=c["max_iters"], tol=c["tol"])
+
+    def run(out_dir: str, jobs: int) -> dict:
+        k = (gram(dataio.load_embeddings(path, c["gram"].get("format")), kernel)
+             if from_embeddings else load_gram(path))
+        result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
+        if result.status != "converged":
+            print(f"divkit: warning: {mode} projection stopped with status {result.status} "
+                  f"after {result.iterations} iterations", file=sys.stderr)
+        weights_text = "\n".join(dataio.format_float(w) for w in result.q_star.weights) + "\n"
+        dataio.write_text(os.path.join(out_dir, "weights.txt"), weights_text)
+        return {"projection": result.to_payload()}
+
+    return run
 
 
-def cmd_guide(args) -> int:
-    cfg = _load_config(args.config)
-    layout = cfg.get("layout")
-    if not isinstance(layout, dict) or "type" not in layout:
-        raise UsageError("config needs a 'layout' object with a 'type' field")
-    resolved = {
-        "command": "guide",
-        "layout": layout,
-        "component_std": float(cfg.get("component_std", 0.1)),
-        "base_weights": cfg.get("base_weights", {"type": "uniform"}),
-        "n_samples": int(cfg.get("n_samples", 1000)),
-        "schedule": cfg.get("schedule", {"kind": "linear_beta", "steps": 200}),
-        "eta": float(cfg.get("eta", 0.03)),
-        "eta_schedule": cfg.get("eta_schedule", "constant"),
-        "apply_every": int(cfg.get("apply_every", 10)),
-        "kernel_bandwidth": cfg.get("kernel_bandwidth"),
-        "bank_policy": cfg.get("bank_policy", "all_finals"),
-        "stochastic": bool(cfg.get("stochastic", True)),
-        "dump_trajectories": int(cfg.get("dump_trajectories", 0)),
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        "stream_id": int(cfg.get("stream_id", 0)),
-    }
-    begun = _begin_run(args, "guide", resolved)
-    if begun is None:
-        return 0
-    out_dir, digest, stamp = begun
-
-    std = resolved["component_std"]
-    if layout["type"] == "grid":
-        spec = guidance.MixtureSpec2D.grid(
-            int(layout["rows"]), int(layout["cols"]), float(layout["spacing"]), std
-        )
-        default_bw = float(layout["spacing"]) / 2.0
-    elif layout["type"] == "circle":
-        spec = guidance.MixtureSpec2D.circle(
-            int(layout["n_modes"]), float(layout["radius"]), std
-        )
-        # nearest-neighbor spacing on the circle
-        default_bw = float(layout["radius"]) * 2.0 * np.sin(np.pi / int(layout["n_modes"])) / 2.0
-    elif layout["type"] == "explicit":
-        spec = guidance.MixtureSpec2D(
-            np.asarray(layout["centers"], dtype=float),
-            np.asarray(layout.get("weights", np.full(len(layout["centers"]), 1.0 / len(layout["centers"])))),
-            std,
-        )
-        default_bw = float(layout.get("bandwidth_hint", 1.0))
-    else:
-        raise UsageError(f"unknown layout type {layout['type']!r}")
-
-    base_cfg = resolved["base_weights"]
-    if base_cfg.get("type") == "uniform":
-        base_weights = np.full(spec.n_modes, 1.0 / spec.n_modes)
-    elif base_cfg.get("type") == "geometric":
-        base_weights = guidance.geometric_weights(spec.n_modes, float(base_cfg.get("ratio", 0.6)))
-    elif base_cfg.get("type") == "explicit":
-        base_weights = np.asarray(base_cfg["values"], dtype=float)
-    else:
-        raise UsageError("base_weights.type must be uniform, geometric, or explicit")
-
-    sched_cfg = resolved["schedule"]
-    steps = int(sched_cfg.get("steps", 200))
-    if sched_cfg.get("kind", "linear_beta") == "linear_beta":
-        sched = guidance.NoiseSchedule.linear_beta(steps)
-    elif sched_cfg["kind"] == "cosine":
-        sched = guidance.NoiseSchedule.cosine(steps)
-    else:
-        raise UsageError(f"unknown schedule kind {sched_cfg['kind']!r}")
-
-    bw = float(resolved["kernel_bandwidth"]) if resolved["kernel_bandwidth"] else default_bw
-    latent_kernel = KernelSpec("gaussian", bw)
-    if resolved["eta_schedule"] == "constant":
-        gcfg = guidance.GuidanceConfig.constant(resolved["eta"], steps, resolved["apply_every"], latent_kernel)
-    elif resolved["eta_schedule"] == "linear_decay":
-        gcfg = guidance.GuidanceConfig.linear_decay(resolved["eta"], steps, resolved["apply_every"], latent_kernel)
-    else:
-        raise UsageError("eta_schedule must be constant or linear_decay")
-
-    result = guidance.run_guided_sampling(
-        spec,
-        base_weights,
-        resolved["n_samples"],
-        sched,
-        gcfg,
-        RunSeed(resolved["seed"], resolved["stream_id"]),
-        stochastic=resolved["stochastic"],
-        bank_policy=resolved["bank_policy"],
-    )
-    payload = {
-        "config": resolved,
-        "metrics": result.to_payload(),
-        "kernel_bandwidth": bw,
-    }
-    path = _write_record(out_dir, "guidance", payload, digest, stamp)
-    dataio.save_embeddings(result.guided.samples, os.path.join(out_dir, "guided.embd"))
-    dataio.save_embeddings(result.unguided.samples, os.path.join(out_dir, "unguided.embd"))
-    if resolved["dump_trajectories"] > 0:
-        _dump_trajectories(out_dir, spec.with_weights(base_weights), sched, resolved)
-    print(path)
-    return 0
-
-
-def _dump_trajectories(out_dir, base, sched, resolved) -> None:
-    """Plot-data dump of the first few unguided trajectories."""
-    count = min(resolved["dump_trajectories"], resolved["n_samples"])
-    paths = guidance.unguided_trajectories(
-        base, sched, RunSeed(resolved["seed"], resolved["stream_id"]), range(count),
-        resolved["stochastic"],
-    )
-    for i in range(count):
-        lines = ["# step x y"] + [
-            f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}"
-            for k, (x, y) in enumerate(paths[:, i].tolist())
-        ]
-        dataio.write_text(os.path.join(out_dir, f"trajectory_{i:03d}.dat"), "\n".join(lines) + "\n")
-
-
-def cmd_concentration(args) -> int:
-    cfg = _load_config(args.config)
-    resolved = {
-        "command": "concentration",
-        "dimension": int(cfg.get("dimension", 8)),
-        "component_std": float(cfg.get("component_std", 1e-4)),
-        "kernel": _kernel_from(cfg).to_payload(),
-        "m": int(cfg.get("m", 500)),
-        "trials": int(cfg.get("trials", 100)),
-        "delta": float(cfg.get("delta", 0.01)),
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        "stream_id": int(cfg.get("stream_id", 0)),
-    }
-    begun = _begin_run(args, "concentration", resolved)
-    if begun is None:
-        return 0
-    out_dir, digest, stamp = begun
-    sampler = bias_lab.cube_mixture_sampler(
-        bias_lab.CubeMixtureSpec(resolved["dimension"], resolved["component_std"])
-    )
-    report = bias_lab.check_concentration(
-        sampler,
-        resolved["m"],
-        resolved["trials"],
-        KernelSpec.from_payload(resolved["kernel"]),
-        resolved["delta"],
-        RunSeed(resolved["seed"], resolved["stream_id"]),
-        jobs=args.jobs,
-    )
-    payload = {"config": resolved, "concentration": report.to_payload()}
-    path = _write_record(out_dir, "concentration", payload, digest, stamp)
-    print(path)
-    return 0
-
-
-_DISPATCH = {
-    "score": cmd_score,
-    "bias": cmd_bias,
-    "curve": cmd_curve,
-    "project": cmd_project,
-    "guide": cmd_guide,
-    "concentration": cmd_concentration,
+#: base_weights type -> base weights from the resolved config and the number of modes
+_BASE_WEIGHTS = {
+    "uniform": lambda c, m: np.full(m, 1.0 / m),
+    "geometric": lambda c, m: guidance.geometric_weights(
+        m, _read(c, "base_weights.ratio", float, 0.6)),
+    "explicit": lambda c, m: _read(c, "base_weights.values", _floats),
 }
+
+
+def _prepare_guide(c: dict):
+    std = c["component_std"]
+    layout = _choose(c, "layout.type", ("grid", "circle", "explicit"))
+    if layout == "grid":
+        rows, cols = _read(c, "layout.rows", int), _read(c, "layout.cols", int)
+        spacing = _read(c, "layout.spacing", float)
+        spec, default_bw = guidance.MixtureSpec2D.grid(rows, cols, spacing, std), spacing / 2.0
+    elif layout == "circle":
+        n_modes, radius = _read(c, "layout.n_modes", int), _read(c, "layout.radius", float)
+        spec = guidance.MixtureSpec2D.circle(n_modes, radius, std)
+        default_bw = radius * 2.0 * np.sin(np.pi / n_modes) / 2.0  # nearest-neighbor spacing
+    else:
+        centers = _read(c, "layout.centers", _points)
+        weights = _read(c, "layout.weights", _floats, np.full(len(centers), 1.0 / len(centers)))
+        spec = guidance.MixtureSpec2D(centers, weights, std)
+        default_bw = _read(c, "layout.bandwidth_hint", float, 1.0)
+    base_weights = _BASE_WEIGHTS[_choose(c, "base_weights.type", _BASE_WEIGHTS)](c, spec.n_modes)
+    base = spec.with_weights(base_weights)  # checks the base weights against the layout
+    steps = _read(c, "schedule.steps", int, 200)
+    # schedule kinds and eta schedules are named after their constructors
+    kind = _choose(c, "schedule.kind", ("linear_beta", "cosine"), "linear_beta")
+    sched = getattr(guidance.NoiseSchedule, kind)(steps)
+    bw = _read(c, "kernel_bandwidth", lambda v: default_bw if v is None else float(v))
+    eta_kind = _choose(c, "eta_schedule", ("constant", "linear_decay"))
+    gcfg = getattr(guidance.GuidanceConfig, eta_kind)(c["eta"], steps, c["apply_every"],
+                                                      KernelSpec("gaussian", bw))
+    _choose(c, "bank_policy", guidance.BANK_POLICIES)
+
+    def run(out_dir: str, jobs: int) -> dict:
+        result = guidance.run_guided_sampling(
+            spec, base_weights, c["n_samples"], sched, gcfg, _seed(c),
+            stochastic=c["stochastic"], bank_policy=c["bank_policy"],
+        )
+        dataio.save_embeddings(result.guided.samples, os.path.join(out_dir, "guided.embd"))
+        dataio.save_embeddings(result.unguided.samples, os.path.join(out_dir, "unguided.embd"))
+        count = min(c["dump_trajectories"], c["n_samples"])
+        if count > 0:  # plot data of the first few unguided trajectories
+            paths = guidance.unguided_trajectories(base, sched, _seed(c), range(count),
+                                                   c["stochastic"])
+            for i in range(count):
+                rows = (f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}\n"
+                        for k, (x, y) in enumerate(paths[:, i].tolist()))
+                path = os.path.join(out_dir, f"trajectory_{i:03d}.dat")
+                dataio.write_text(path, "# step x y\n" + "".join(rows))
+        return {"metrics": result.to_payload(), "kernel_bandwidth": bw}
+
+    return run
+
+
+def _prepare_concentration(c: dict):
+    spec = bias_lab.CubeMixtureSpec(c["dimension"], c["component_std"])
+    kernel = KernelSpec.from_payload(c["kernel"])
+
+    def run(out_dir: str, jobs: int) -> dict:
+        report = bias_lab.check_concentration(bias_lab.cube_mixture_sampler(spec), c["m"],
+                                              c["trials"], kernel, c["delta"], _seed(c), jobs=jobs)
+        return {"concentration": report.to_payload()}
+
+    return run
+
+
+class RunCommand(NamedTuple):
+    """A run command.  ``prepare`` takes the resolved config, checks its nested fields,
+    builds what needs no file and no compute, and returns ``run(out_dir, jobs)``, which
+    loads, computes, writes the side files and returns the record payload less "config"."""
+
+    kind: str  # record kind
+    help: str
+    keys: tuple  # (name, cast, default) per config key
+    prepare: Callable[[dict], Callable[[str, int], dict]]
+
+
+_KERNEL = ("kernel", lambda doc: _kernel(doc).to_payload(), _REQUIRED)
+_SEED = (("seed", int, 0), ("stream_id", int, 0))
+
+COMMANDS = {
+    "curve": RunCommand("curve", "Vendi score vs sample size from a file or cube mixture", (
+        ("source", _object, _REQUIRED), _KERNEL, ("sizes", _ints, [64 * 2**k for k in range(7)]),
+        ("trials", int, 10), ("size_cap", int, DEFAULT_SIZE_CAP), *_SEED,
+    ), _prepare_curve),
+    "bias": RunCommand("bias", "plug-in entropy bias curve for a uniform discrete law", (
+        ("alphabet_size", int, 1024), ("sizes", _ints, default_bias_grid()),
+        ("trials", int, 10), *_SEED,
+    ), _prepare_bias),
+    "project": RunCommand("projection", "entropy projection of weights on a fixed support", (
+        ("gram", _object, _REQUIRED), ("mode", _raw, "vne_penalized"),
+        ("rho", _raw, None), ("lambda", _raw, None), ("vendi_target", _raw, None),
+        ("eta", float, 0.1), ("gamma", float, 1.0), ("max_iters", int, 5000), ("tol", float, 1e-8),
+    ), _prepare_project),
+    "guide": RunCommand("guidance", "guided vs unguided reverse diffusion on a 2D mixture", (
+        ("layout", _object, _REQUIRED), ("component_std", float, 0.1),
+        ("base_weights", _object, {"type": "uniform"}), ("n_samples", int, 1000),
+        ("schedule", _object, {"kind": "linear_beta", "steps": 200}),
+        ("eta", float, 0.03), ("eta_schedule", _raw, "constant"), ("apply_every", int, 10),
+        ("kernel_bandwidth", _raw, None), ("bank_policy", _raw, "all_finals"),
+        ("stochastic", _boolean, True), ("dump_trajectories", int, 0), *_SEED,
+    ), _prepare_guide),
+    "concentration": RunCommand("concentration", "log-Vendi concentration check", (
+        ("dimension", int, 8), ("component_std", float, 1e-4), _KERNEL,
+        ("m", int, 500), ("trials", int, 100), ("delta", float, 0.01), *_SEED,
+    ), _prepare_concentration),
+}
+
+
+def run_command(args) -> int:
+    """Read and check the whole config, then compute, record and print the record path."""
+    command = COMMANDS[args.command]
+    cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg["seed"] = args.seed  # read only by commands with a seed key
+    resolved = {"command": args.command,
+                **{name: _read(cfg, name, cast, default) for name, cast, default in command.keys}}
+    run = command.prepare(resolved)
+    digest = config_hash(resolved)
+    root = args.out or os.environ.get("DIVKIT_CACHE_DIR") or "divkit_out"
+    out_dir = os.path.join(root, f"{args.command}-{digest[:12]}")
+    record_path = os.path.join(out_dir, "record.json")
+    if os.path.exists(record_path) and not args.force:
+        print(f"{record_path} already exists for this config; use --force to recompute")
+        return 0
+    os.makedirs(out_dir, exist_ok=True)
+    stamp = time.time() if args.stamp_time else 0.0
+    payload = {"config": resolved, **run(out_dir, args.jobs)}
+    dataio.save_record(ResultRecord(command.kind, payload, digest, stamp), record_path)
+    print(record_path)
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return cmd_score(args) if args.command == "score" else run_command(args)
     except UsageError as exc:
         print(f"divkit: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -328,3 +329,128 @@ def test_bad_config_usage_error(tmp_path):
     assert run_cli(["curve", "--config", cfg]) == 1
     cfg.write_text(json.dumps({"source": {"type": "nope"}, "kernel": {"family": "cosine"}}))
     assert run_cli(["curve", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+
+CURVE_OK = {"source": {"type": "cube_mixture", "dimension": 2},
+            "kernel": {"family": "gaussian", "bandwidth": 0.1}, "sizes": [4], "trials": 1}
+PROJECT_OK = {"gram": {"type": "embeddings", "path": "emb.csv",
+                       "kernel": {"family": "gaussian", "bandwidth": 1.0}},
+              "mode": "vne_penalized", "lambda": 0.1}
+GUIDE_OK = {"layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": 2.0},
+            "n_samples": 4, "schedule": {"kind": "cosine", "steps": 20}}
+CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials": 30}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("curve", {**CURVE_OK, "source": {"type": "file"}}, "source.path"),
+    ("curve", {**CURVE_OK, "source": {"type": "cube_mixture"}}, "source.dimension"),
+    ("curve", {**CURVE_OK, "source": {"type": "nope"}}, "source.type"),
+    ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": "wide"}}, "kernel"),
+    ("bias", {"trials": "abc"}, "trials"),
+    ("bias", {"sizes": 5}, "sizes"),
+    ("project", {**PROJECT_OK, "gram": {"type": "embeddings"}}, "gram.path"),
+    ("project", {**PROJECT_OK, "gram": {"type": "nope", "path": "k.gram"}}, "gram.type"),
+    ("project", {k: v for k, v in PROJECT_OK.items() if k != "lambda"}, "lambda"),
+    ("project", {**PROJECT_OK, "lambda": "big"}, "lambda"),
+    ("project", {**PROJECT_OK, "mode": "vne_nope"}, "mode"),
+    ("project", {**PROJECT_OK, "mode": "vne_constrained"}, "rho"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "grid"}}, "layout.rows"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "hexagon"}}, "layout.type"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": 3}}, "layout.centers"),
+    ("guide", {**GUIDE_OK, "base_weights": "uniform"}, "base_weights"),
+    ("guide", {**GUIDE_OK, "base_weights": {"type": "zipf"}}, "base_weights.type"),
+    ("guide", {**GUIDE_OK, "schedule": {"kind": "sigmoid"}}, "schedule.kind"),
+    ("guide", {**GUIDE_OK, "eta_schedule": "cosine"}, "eta_schedule"),
+    ("guide", {**GUIDE_OK, "bank_policy": "none"}, "bank_policy"),
+    ("guide", {**GUIDE_OK, "stochastic": "false"}, "stochastic"),
+    ("concentration", {**CONC_OK, "m": "x"}, "m"),
+    ("concentration", {"m": 8}, "kernel"),
+])
+def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("divkit: usage error:")
+    assert repr(key) in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", [0, -1])
+def test_guide_non_positive_kernel_bandwidth_is_a_data_error(tmp_path, capsys, bandwidth):
+    path = tmp_path / "guide.json"
+    path.write_text(json.dumps({**GUIDE_OK, "kernel_bandwidth": bandwidth}))
+    out = tmp_path / "out"
+    assert run_cli(["guide", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"divkit: data error: gaussian bandwidth must be > 0, got {float(bandwidth)}"]
+    assert not out.exists()
+
+
+GOLDEN_CONFIGS = {
+    "bias": ("bias", {"alphabet_size": 16, "sizes": [16, 32], "trials": 2, "seed": 1}),
+    "curve": ("curve", {"source": {"type": "cube_mixture", "dimension": 3, "component_std": 1e-3},
+                        "kernel": {"family": "gaussian", "bandwidth": 0.5},
+                        "sizes": [8, 16], "trials": 2, "seed": 2}),
+    "concentration": ("concentration", {"dimension": 3, "component_std": 1e-3,
+                                        "kernel": {"family": "gaussian", "bandwidth": 0.5},
+                                        "m": 8, "trials": 30, "delta": 0.1, "seed": 3}),
+    "vne_constrained": ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5,
+                                    "max_iters": 20}),
+    "vne_penalized": ("project", {**PROJECT_OK, "lambda": 1, "max_iters": 50}),
+    "rke_penalized": ("project", {**PROJECT_OK, "mode": "rke_penalized", "lambda": 0.5}),
+    "grid": ("guide", {**GUIDE_OK, "n_samples": 6, "schedule": {"kind": "cosine", "steps": 12},
+                       "seed": 4}),
+    "circle": ("guide", {**GUIDE_OK, "layout": {"type": "circle", "n_modes": 3, "radius": 2.0},
+                         "n_samples": 6, "schedule": {"kind": "linear_beta", "steps": 12}}),
+    "explicit": ("guide", {**GUIDE_OK, "layout": {"type": "explicit",
+                                                  "centers": [[0, 0], [2, 0], [0, 2]]},
+                           "base_weights": {"type": "geometric", "ratio": 0.5},
+                           "n_samples": 6, "schedule": {"kind": "cosine", "steps": 12},
+                           "eta_schedule": "linear_decay", "apply_every": 3}),
+}
+
+# (output directory, sha256 of record.json) per config above.  The directory
+# name carries the config hash: a change that moves it orphans every cached run
+# of that config.  The record digests pin the results as well.
+GOLDEN = {
+    "bias": ("bias-735572c19946",
+               "2e1b55b58034a6d9b9c199adbed64ca1acd8b73f05c17a6b84efd938f3b618e0"),
+    "curve": ("curve-55d8f9d135d3",
+                "9db5e31cf9fd1591e1c0696170f3369677bf64c3692b22907d47e017b3076ce7"),
+    "concentration": ("concentration-7c686229cf3c",
+                        "728bad6947711083dbfcd8b006914017c2c71d656a5d44e7eac1876470d34c38"),
+    "vne_constrained": ("project-fff50837f742",
+                          "389e111dd9ff475c63d1a33116330a78dc9b561e07c5a34a1d4c79f561403490"),
+    "vne_penalized": ("project-937cde0fe4ce",
+                        "34f0aa8597e94abcf814d44380a1724fea70ff13320684c3ee4b31faf5c35941"),
+    "rke_penalized": ("project-8b87ffe02926",
+                        "38fc750eb63825279a79ae7f254e30d18f5f612e9e0f4c9943012bc9134c5523"),
+    "grid": ("guide-31f0284026f0",
+               "047bbeafa872ecbed7fc2aec4d8e39d09988e22b98b94ab6a0b3c6c989388714"),
+    "circle": ("guide-dbf7630810a4",
+                 "7be6eca8b064d50b9abaad1e920766b095a0e4344d611916170562b369b44bd8"),
+    "explicit": ("guide-7218b1f88881",
+                   "dc58e90764d5d586d101a7a3376845a376687a452a1eb46b5e8675bb74968a6e"),
+}
+
+
+def golden_runs(tmp_path, monkeypatch) -> dict:
+    """Run every golden config from ``tmp_path`` with relative paths, so hashes are portable."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    write_embeddings("emb.csv", np.vstack([rng.normal(size=(12, 3)) * 0.2,
+                                           rng.normal(size=(4, 3)) * 0.2 + 6.0]))
+    runs = {}
+    for name, (command, cfg) in GOLDEN_CONFIGS.items():
+        with open(f"{name}.json", "w") as fh:
+            json.dump(cfg, fh)
+        assert run_cli([command, "--config", f"{name}.json", "--out", name]) == 0
+        (record,) = (tmp_path / name).glob("*/record.json")
+        runs[name] = (record.parent.name, hashlib.sha256(record.read_bytes()).hexdigest())
+    return runs
+
+
+def test_run_commands_keep_their_config_hashes_and_records(tmp_path, monkeypatch):
+    assert golden_runs(tmp_path, monkeypatch) == GOLDEN
