@@ -4,7 +4,8 @@ Every run command (curve, bias, project, guide, concentration) reads one
 config file and checks every key and nested field before it writes anything,
 so a malformed config exits 1 and leaves no output.  It then hashes the
 canonical serialization and writes its outputs under
-``<out_root>/<command>-<hash12>/``.  Re-running an already-hashed config is a
+``<out_root>/<command>-<hash12>/``; a run that fails removes the directories
+it made.  Re-running an already-hashed config is a
 no-op unless --force is passed, and all outputs are byte-identical across
 re-runs because record timestamps default to 0 (opt into wall-clock stamps
 with --stamp-time).  The output root is ./divkit_out, or $DIVKIT_CACHE_DIR,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -28,7 +30,7 @@ from . import bias_lab, dataio, guidance, projection
 from .dataio import ResultRecord, RunSeed, canonical_json, config_hash
 from .discrepancy import compare
 from .entropy import DEFAULT_SIZE_CAP, vendi_with_gram
-from .errors import DivkitError, NumericError, UsageError
+from .errors import DataError, DivkitError, NumericError, UsageError
 from .kernels import KernelSpec, gram, load_gram
 
 EXIT_USAGE = 1
@@ -227,6 +229,8 @@ def _prepare_project(c: dict):
                               for key in ("rho", "lambda", "vendi_target"))
     if mode == "vne_constrained":
         if rho is None and vendi_target is not None:
+            if not (np.isfinite(vendi_target) and vendi_target > 0):
+                raise DataError(f"'vendi_target' must be positive and finite, got {vendi_target}")
             rho = float(np.log(vendi_target))
         if rho is None:
             raise UsageError("vne_constrained mode needs 'rho' (nats) or 'vendi_target'")
@@ -363,7 +367,10 @@ COMMANDS = {
 
 
 def run_command(args) -> int:
-    """Read and check the whole config, then compute, record and print the record path."""
+    """Read and check the whole config, then compute, record and print the record path.
+
+    A run that raises removes the directories that this call created.
+    """
     command = COMMANDS[args.command]
     cfg = _load_config(args.config)
     if args.seed is not None:
@@ -378,12 +385,26 @@ def run_command(args) -> int:
     if os.path.exists(record_path) and not args.force:
         print(f"{record_path} already exists for this config; use --force to recompute")
         return 0
+    created = _outermost_missing(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stamp = time.time() if args.stamp_time else 0.0
-    payload = {"config": resolved, **run(out_dir, args.jobs)}
-    dataio.save_record(ResultRecord(command.kind, payload, digest, stamp), record_path)
+    try:
+        payload = {"config": resolved, **run(out_dir, args.jobs)}
+        dataio.save_record(ResultRecord(command.kind, payload, digest, stamp), record_path)
+    except BaseException:
+        if created is not None:  # a failed run leaves no directory it made
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(record_path)
     return 0
+
+
+def _outermost_missing(path: str) -> str | None:
+    """The outermost directory that ``os.makedirs(path)`` would create, or None."""
+    missing = None
+    while path and not os.path.exists(path):
+        missing, path = path, os.path.dirname(path)
+    return missing
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,14 @@ the package goes through :func:`cross` (all pairs of rows) or :func:`paired`
 the cosine feature factor U (K = U U^T), from which the entropy and
 discrepancy modules compute cosine scores without an n x n block; the
 [-1, 1] clip of :func:`cross` acts only at rounding level.
+
+Gaussian squared distances come from BLAS products (one GEMM per block of
+rows) of the rows centred on the mean of ``x``, as ||a||^2 + ||b||^2 - 2 a.b.
+Entries that this form cannot resolve (not above 1/16 of the summed squared
+norms, or NaN because the norms overflowed) are recomputed from coordinate
+differences.  So every distance has a relative error of at most about
+16 (d + 4) eps, and rows far enough apart to overflow get kernel 0.  The
+module needs numpy only, so importing divkit loads no scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import dataio
 from .dataio import EmbeddingSet
@@ -143,18 +150,116 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return x / _row_norms(x)[:, None]
 
 
+#: float64 entries per temporary: a row block of a Gaussian block, or the
+#: coordinate differences recomputed at once (1 MiB)
+_CHUNK = 1 << 17
+
+
+#: strictly lower triangle of a mirror tile
+_LOWER = np.tri(64, k=-1, dtype=bool)
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Copy the upper triangle of the square ``m`` onto its lower one, in place.
+
+    Tile by tile, so that the transposed reads stay in cache.
+    """
+    n, t = m.shape[0], _LOWER.shape[0]
+    for r in range(0, n, t):
+        block = m[r:r + t, r:r + t]
+        np.copyto(block, block.T, where=_LOWER[:block.shape[0], :block.shape[0]])
+        for c in range(r + t, n, t):
+            m[c:c + t, r:r + t] = m[r:r + t, c:c + t].T
+
+
+def _exact_sq(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """||x_i - y_j||^2 from coordinate differences for index arrays ``i``, ``j``."""
+    out = np.empty(i.size)
+    step = max(1, _CHUNK // x.shape[1])
+    for s in range(0, i.size, step):
+        diff = x[i[s:s + step]] - y[j[s:s + step]]
+        with np.errstate(over="ignore"):
+            out[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _sq_rows(x: np.ndarray, y: np.ndarray):
+    """Squared distances ||x_i - y_j||^2 by blocks of rows, as ``(r, lo, sq)``.
+
+    ``sq`` holds the distances of rows r, r+1, ... of ``x`` to rows lo,
+    lo+1, ... of ``y``.  A self block (``y is x``) has lo = r, so only the
+    upper triangle and the diagonal squares are evaluated.  With
+    a = x - mean(x) and b = y - mean(x), a distance is
+    ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, one GEMM per block.  Where that value
+    is not above 1/16 of the summed norms (cancellation: exact and near
+    duplicates, tight clusters; or NaN from norms that overflowed, for rows
+    beyond about 1e154), it is recomputed from the raw differences
+    x_i - y_j, which overflow to inf rather than NaN.
+    """
+    self_block = y is x
+    centre = x.mean(axis=0)
+    a = x - centre
+    b = a if self_block else y - centre
+    with np.errstate(over="ignore"):
+        na = np.einsum("ij,ij->i", a, a)
+        nb = na if self_block else np.einsum("ij,ij->i", b, b)
+    bt = b.T.copy()  # a copy also keeps numpy off syrk, whose triangle copy is slow
+    step = max(1, _CHUNK // y.shape[0])
+    for r in range(0, x.shape[0], step):
+        lo = r if self_block else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = a[r:r + step] @ bt[:, lo:]
+            sq *= -2.0
+            norms = na[r:r + step, None] + nb[lo:]
+            sq += norms
+            norms *= 1.0 / 16.0
+            redo = np.flatnonzero(~(sq > norms))  # NaN included
+        if redo.size:
+            i, j = np.divmod(redo, sq.shape[1])
+            sq.ravel()[redo] = _exact_sq(x, y, r + i, lo + j)
+        yield r, lo, sq
+
+
+def _gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-||x_i - y_j||^2 / (2 bandwidth^2)) from the distances of :func:`_sq_rows`.
+
+    A self block copies its upper triangle onto the lower one, so it is
+    exactly symmetric with a unit diagonal, and rows at distance exactly 0
+    get the kernel row of their first copy.
+    """
+    n = x.shape[0]
+    out = np.empty((n, y.shape[0]))
+    first = np.full(n, n)  # per row, the first row at distance 0 before it
+    for r, lo, sq in _sq_rows(x, y):
+        if y is x:
+            i, j = np.divmod(np.flatnonzero(sq == 0.0), sq.shape[1])
+            later = r + i < lo + j
+            np.minimum.at(first, lo + j[later], r + i[later])
+        np.divide(sq, -2.0 * bandwidth**2, out=sq)
+        np.exp(sq, out=out[r:r + sq.shape[0], lo:])
+    if y is x:
+        _mirror_upper(out)
+        later = np.flatnonzero(first < n)
+        if later.size:
+            out[later] = out[first[later]]
+            out[:, later] = out[:, first[later]]
+    return out
+
+
 def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """k(x_i, y_j) for all rows of ``x`` against all rows of ``y``; O(n m d).
 
-    Passing the same array twice normalizes it once, so the cosine self
-    block comes from one symmetric BLAS product, whose rounding can differ
-    from a general product of two copies.  The result is not symmetrized or
-    pinned; :func:`gram` does that.
+    Passing the same array twice marks a self block.  The cosine self block
+    normalizes once and comes from one symmetric BLAS product, whose rounding
+    can differ from a general product of two copies; it is not symmetrized
+    or pinned, :func:`gram` does that.  The Gaussian self block is exactly
+    symmetric with a unit diagonal, and duplicated rows give identical
+    kernel rows.  Gaussian distances come from one GEMM per block of rows
+    (:func:`_sq_rows`), with a relative error of at most about 16 (d + 4)
+    eps; rows so far apart that their distance overflows give 0.
     """
     if spec.family == "gaussian":
-        sq = cdist(x, y, metric="sqeuclidean")
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return _gaussian(x, y, spec.bandwidth)
     ux = unit_rows(x)
     uy = ux if y is x else unit_rows(y)
     return np.clip(ux @ uy.T, -1.0, 1.0)
@@ -169,8 +274,13 @@ def paired(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def gram(x: EmbeddingSet, spec: KernelSpec) -> GramMatrix:
-    """Pairwise kernel matrix of all rows of ``x``; O(n^2 d)."""
-    return GramMatrix(_symmetrize(cross(x.data, x.data, spec)), spec)
+    """Pairwise kernel matrix of all rows of ``x``; O(n^2 d).
+
+    The Gaussian self block is already exactly symmetric with a unit
+    diagonal, so only the cosine one is symmetrized.
+    """
+    k = cross(x.data, x.data, spec)
+    return GramMatrix(k if spec.family == "gaussian" else _symmetrize(k), spec)
 
 
 def hadamard_square(k: GramMatrix) -> GramMatrix:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +391,63 @@ def test_guide_non_positive_kernel_bandwidth_is_a_data_error(tmp_path, capsys, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    ("concentration", {**CONC_OK, "trials": 5}, "need at least 30 trials"),
+    ("guide", {**GUIDE_OK, "n_samples": 1}, "need at least 2 samples"),
+    ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "path": "missing.csv"}},
+     "missing.csv"),
+])
+def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsys, command, cfg,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    made, makedirs = [], os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda path, **kw: made.append(path) or makedirs(path, **kw))
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", "cfg.json", "--out", "out/nested"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("divkit: data error:") and message in err[0]
+    run_dir = made[0]  # os.makedirs calls itself for the missing parents
+    assert run_dir.startswith(f"out/nested/{command}-")
+    assert not Path("out").exists()
+
+    # directories that were there before the run stay, with their content
+    Path(run_dir).mkdir(parents=True)
+    Path(run_dir, "keep.txt").write_text("x")
+    assert run_cli([command, "--config", "cfg.json", "--out", "out/nested"]) == 2
+    assert os.listdir(run_dir) == ["keep.txt"]
+
+
+@pytest.mark.parametrize("target", [0, -2.0, float("inf"), float("nan")])
+def test_non_positive_vendi_target_is_a_data_error_before_any_output(tmp_path, capsys, target):
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target}))
+    out = tmp_path / "out"
+    assert run_cli(["project", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("divkit: data error:")
+    assert "'vendi_target'" in err[0]
+    assert not out.exists()
+
+
+def test_score_never_loads_scipy(tmp_path):
+    # importing scipy costs more start-up time than a whole 1000 x 64 score
+    rng = np.random.default_rng(8)
+    write_embeddings(tmp_path / "a.csv", rng.normal(size=(40, 5)))
+    write_embeddings(tmp_path / "b.csv", rng.normal(size=(30, 5)) + 0.5)
+    code = (
+        "import sys, divkit.cli\n"
+        "for kernel in (['--kernel', 'gaussian', '--bandwidth', '1.5'], ['--kernel', 'cosine']):\n"
+        "    assert divkit.cli.main(['score', 'a.csv', '--against', 'b.csv', *kernel]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 GOLDEN_CONFIGS = {
     "bias": ("bias", {"alphabet_size": 16, "sizes": [16, 32], "trials": 2, "seed": 1}),
     "curve": ("curve", {"source": {"type": "cube_mixture", "dimension": 3, "component_std": 1e-3},
@@ -418,21 +478,21 @@ GOLDEN = {
     "bias": ("bias-735572c19946",
                "2e1b55b58034a6d9b9c199adbed64ca1acd8b73f05c17a6b84efd938f3b618e0"),
     "curve": ("curve-55d8f9d135d3",
-                "9db5e31cf9fd1591e1c0696170f3369677bf64c3692b22907d47e017b3076ce7"),
+                "e1b8e6dc65fa1ca98f2512a27cad165df0fffc7239269b6c86e3588b38bda68b"),
     "concentration": ("concentration-7c686229cf3c",
-                        "728bad6947711083dbfcd8b006914017c2c71d656a5d44e7eac1876470d34c38"),
+                        "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
     "vne_constrained": ("project-fff50837f742",
-                          "389e111dd9ff475c63d1a33116330a78dc9b561e07c5a34a1d4c79f561403490"),
+                          "2433142695e94fb6bf13306414f53a1cf44616e750adbd4ddb31605748e69ddc"),
     "vne_penalized": ("project-937cde0fe4ce",
-                        "34f0aa8597e94abcf814d44380a1724fea70ff13320684c3ee4b31faf5c35941"),
+                        "371798b1350cfe188e7f069b8b8e10d6a21df489c2eabe30ef0963075a2abacd"),
     "rke_penalized": ("project-8b87ffe02926",
-                        "38fc750eb63825279a79ae7f254e30d18f5f612e9e0f4c9943012bc9134c5523"),
+                        "1e61b52ac08a3e60b59d3c9104454066787befb5804b1dcb1391a41c93caafff"),
     "grid": ("guide-31f0284026f0",
-               "047bbeafa872ecbed7fc2aec4d8e39d09988e22b98b94ab6a0b3c6c989388714"),
+               "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",
-                 "7be6eca8b064d50b9abaad1e920766b095a0e4344d611916170562b369b44bd8"),
+                 "fdf1645491cd6e20247ce500aec1ff07eef53c36984598ef9dc1872d17b25123"),
     "explicit": ("guide-7218b1f88881",
-                   "dc58e90764d5d586d101a7a3376845a376687a452a1eb46b5e8675bb74968a6e"),
+                   "94e26d9598037d257f25a6d4debdb830111437ecdd3e25ee9440792397deed3e"),
 }
 
 

@@ -10,6 +10,7 @@ from divkit.errors import DataError, NonPositiveBandwidth, ZeroVector
 from divkit.kernels import (
     GramMatrix,
     KernelSpec,
+    _sq_rows,
     _symmetrize,
     cosine_kernel,
     cross,
@@ -195,3 +196,92 @@ def test_gram_invariants_property(n, d, seed, bw):
     # mathematically in (0, 1]; distant pairs may underflow to exactly 0
     assert k.values.min() >= 0.0 and k.values.max() <= 1.0
     assert k.min_eigenvalue() >= -1e-10 * n
+
+
+# -- Gaussian distances from one GEMM per block ------------------------------
+
+def assembled_sq(x, y):
+    """The squared distances of ``_sq_rows``; a self block's lower triangle is left NaN."""
+    out = np.full((x.shape[0], y.shape[0]), np.nan)
+    for r, lo, sq in _sq_rows(x, y):
+        out[r:r + sq.shape[0], lo:] = sq
+    if y is x:
+        out[np.tril_indices(x.shape[0], -1)] = np.nan
+    return out
+
+
+def with_duplicates(x, rng, near):
+    """``x`` with some rows replaced by exact (and, if ``near``, nearly exact) copies of others."""
+    n = x.shape[0]
+    k = int(rng.integers(1, n // 2 + 1))
+    src, dst = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+    x = x.copy()
+    x[dst] = x[src]
+    if near:
+        x[dst[::2]] *= 1.0 + 1e-13 * rng.normal(size=(dst[::2].size, x.shape[1]))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=80),
+    offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    spread=st.sampled_from([1e-9, 1e-4, 1.0, 10.0]),
+    layout=st.sampled_from(["normal", "cube", "duplicates", "near_duplicates"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_gemm_distances_match_coordinate_difference_oracle(n, m, d, offset, spread, layout,
+                                                           seed):
+    # the recompute rule guarantees a relative error of 16 (d + 4) eps on every entry
+    rng = np.random.default_rng(seed)
+    if layout == "cube":
+        x = rng.integers(0, 2, size=(n, d)) + spread * 1e-3 * rng.normal(size=(n, d))
+    else:
+        x = spread * rng.normal(size=(n, d))
+    x += offset
+    if layout in ("duplicates", "near_duplicates") and n > 1:
+        x = with_duplicates(x, rng, near=layout == "near_duplicates")
+    y = offset + spread * rng.normal(size=(m, d))
+    bound = 16 * (d + 4) * np.finfo(float).eps
+    for a, b in ((x, x), (x, y), (y, x)):
+        got = assembled_sq(a, b)
+        la, lb = a.astype(np.longdouble), b.astype(np.longdouble)
+        want = ((la[:, None, :] - lb[None, :, :]) ** 2).sum(axis=-1)
+        done = ~np.isnan(got)
+        err = np.abs(got[done] - want[done])
+        assert np.all(err <= bound * want[done]), float((err / want[done]).max())
+        if b is a:
+            assert np.all(np.diagonal(got) == 0.0)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (7, 1), (65, 3), (300, 17), (1000, 4)])
+def test_gaussian_self_block_is_exactly_symmetric_with_unit_diagonal(n, d):
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(size=(n, d)) + 5.0
+    spec = KernelSpec("gaussian", 0.8)
+    k = cross(x, x, spec)
+    assert np.array_equal(k, k.T)
+    assert np.all(np.diagonal(k) == 1.0)
+    assert np.array_equal(gram(EmbeddingSet(x), spec).values, k)
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (257, 17), (700, 64)])
+def test_gaussian_duplicate_rows_give_identical_kernel_rows(n, d):
+    rng = np.random.default_rng(d)
+    x = with_duplicates(rng.normal(size=(n, d)), rng, near=False)
+    x[-1] = x[0]  # copies far apart, in different row blocks and mirror tiles
+    k = gram(EmbeddingSet(x), KernelSpec("gaussian", 1.5)).values
+    _, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(k, k[first[group.ravel()]])
+    assert np.unique(k, axis=0).shape[0] == first.size
+
+
+def test_gaussian_rows_near_1e200_give_zero_not_nan():
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(20, 3)) * 1e200, rng.normal(size=(15, 3)) * 1e200
+    spec = KernelSpec("gaussian", 1.0)
+    k = cross(x, x, spec)
+    assert np.array_equal(k, np.eye(20))
+    assert np.array_equal(cross(x, y, spec), np.zeros((20, 15)))
