@@ -73,6 +73,7 @@ from .guidance import (
 from .kernels import (
     GramMatrix,
     KernelSpec,
+    SelfBlock,
     cosine_kernel,
     cross,
     gaussian_kernel,

@@ -164,11 +164,11 @@ def cmd_score(args) -> int:
         raise UsageError("gaussian kernel needs --bandwidth")
     spec = KernelSpec(args.kernel, args.bandwidth)
     x = dataio.load_embeddings(args.embeddings, args.format)
-    score, kxx = vendi_with_gram(x, spec, size_cap=args.size_cap)
+    score, block = vendi_with_gram(x, spec, size_cap=args.size_cap)
     payload: dict = {"score": score.to_payload(), "label": x.label}
     if args.against:
         y = dataio.load_embeddings(args.against, args.format)
-        payload["against"] = compare(x, y, spec, kxx).to_payload()
+        payload["against"] = compare(x, y, spec, block).to_payload()
     print(canonical_json(payload))
     return 0
 

@@ -3,11 +3,12 @@
 KD on a fixed support is the quadratic form (q - q0)^T K (q - q0), the
 squared MMD between two reweightings of the same points.  The two-sample
 :func:`mmd2` returns the biased and the unbiased estimator from the kernel
-block sums: under the Gaussian kernel from blocks built once by
-:func:`kernels.cross` (or passed in prebuilt), under the cosine kernel from
-the row sums of the unit rows, with no n x n block.  FD is computed on raw
-embedding vectors with unbiased (n-1) covariances; its eigensolves go through
-``entropy._eigensolve``, so an overflowing covariance raises NumericError.
+block sums: under the Gaussian kernel from blocks built one at a time by
+:func:`kernels.cross` and dropped once summed (or from self-block records),
+under the cosine kernel from the row sums of the unit rows, with no n x n
+block.  FD is computed on raw embedding vectors with unbiased (n-1)
+covariances; its eigensolves go through ``entropy._eigensolve``, so an
+overflowing covariance raises NumericError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .dataio import EmbeddingSet
 from .entropy import WeightVector, _eigensolve
 from .errors import DataError, DimensionMismatch, NumericError, TooFewSamples
-from .kernels import GramMatrix, KernelSpec, cross, unit_rows
+from .kernels import GramMatrix, KernelSpec, SelfBlock, cross, unit_rows
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,24 @@ def kd_fixed_support(k: GramMatrix, q: WeightVector, q0: WeightVector) -> float:
     return max(val, 0.0)
 
 
-def _self_block(x: EmbeddingSet, spec: KernelSpec, k: GramMatrix | None) -> np.ndarray:
+def _self_sums(x: EmbeddingSet, spec: KernelSpec, k: SelfBlock | GramMatrix | None) -> tuple:
     if k is None:
-        return cross(x.data, x.data, spec)
+        block = cross(x.data, x.data, spec)
+        return block.sum(), np.trace(block)
+    k = SelfBlock.of(k) if isinstance(k, GramMatrix) else k
     if k.n != x.n or k.spec != spec:
         raise DataError(
             f"prebuilt Gram ({k.n} rows, {k.spec}) does not match {x.n} rows under {spec}"
         )
-    return k.values
+    return k.sum, k.trace
 
 
 def mmd2(
     x: EmbeddingSet,
     y: EmbeddingSet,
     spec: KernelSpec,
-    kxx: GramMatrix | None = None,
-    kyy: GramMatrix | None = None,
+    kxx: SelfBlock | GramMatrix | None = None,
+    kyy: SelfBlock | GramMatrix | None = None,
 ) -> tuple[float, float | None]:
     """Squared MMD between two sets as (biased V-statistic, unbiased U-statistic).
 
@@ -76,10 +79,11 @@ def mmd2(
     Both come from the block sums and the self blocks' traces.  Under the
     cosine kernel these are sums of the unit rows u_i, v_j, in O((m + n) d):
     sum Kxx = ||sum u||^2, trace Kxx = sum ||u_i||^2, sum Kxy = sum u . sum v.
-    The Gaussian family builds its blocks with :func:`kernels.cross`, or reuses
-    ``kxx``/``kyy``, Grams of x/y already built by :func:`kernels.gram`
-    (for this family equal to ``cross`` bit for bit); the cosine family
-    ignores them.
+    The Gaussian family builds its blocks with :func:`kernels.cross`, one at
+    a time, or takes a self block's sum and trace from ``kxx``/``kyy``: a
+    :class:`kernels.SelfBlock` record (n, spec, sum, trace), or a Gram of
+    x/y already built by :func:`kernels.gram` (for this family equal to
+    ``cross`` bit for bit), reduced to one; the cosine family ignores them.
     """
     if x.d != y.d:
         raise DimensionMismatch(f"embedding dims differ: {x.d} vs {y.d}")
@@ -89,8 +93,7 @@ def mmd2(
         su, sv = u.sum(axis=0), v.sum(axis=0)
         sxx, txx, syy, tyy, sxy = su @ su, (u * u).sum(), sv @ sv, (v * v).sum(), su @ sv
     else:
-        kxx, kyy = _self_block(x, spec, kxx), _self_block(y, spec, kyy)
-        sxx, txx, syy, tyy = kxx.sum(), np.trace(kxx), kyy.sum(), np.trace(kyy)
+        (sxx, txx), (syy, tyy) = _self_sums(x, spec, kxx), _self_sums(y, spec, kyy)
         sxy = cross(x.data, y.data, spec).sum()
     kxy_mean = sxy / (m * n)
     biased = max(float(sxx / (m * m) - 2.0 * kxy_mean + syy / (n * n)), 0.0)
@@ -119,7 +122,7 @@ def frechet_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         cov_x = np.cov(x.data, rowvar=False).reshape(x.d, x.d)
         cov_y = np.cov(y.data, rowvar=False).reshape(y.d, y.d)
-        root_x = _sqrt_psd(cov_x)
+        root_x = _sqrt_psd(cov_x.copy())
         cross_vals = _eigensolve(root_x @ cov_y @ root_x)
     tr_cross = np.sqrt(np.maximum(cross_vals, 0.0)).sum()
     diff = mu_x - mu_y
@@ -131,12 +134,12 @@ def compare(
     x: EmbeddingSet,
     y: EmbeddingSet,
     spec: KernelSpec,
-    kxx: GramMatrix | None = None,
-    kyy: GramMatrix | None = None,
+    kxx: SelfBlock | GramMatrix | None = None,
+    kyy: SelfBlock | GramMatrix | None = None,
 ) -> DiscrepancyReport:
     """KD (biased MMD^2 under the scoring kernel), FD, and unbiased MMD^2.
 
-    ``kxx``/``kyy`` are optional prebuilt Grams of x/y, passed to :func:`mmd2`.
+    ``kxx``/``kyy`` are optional self blocks of x/y, passed to :func:`mmd2`.
     """
     kd, unbiased = mmd2(x, y, spec, kxx, kyy)
     fd = frechet_distance(x, y) if (x.n >= 2 and y.n >= 2) else None

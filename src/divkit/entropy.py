@@ -12,17 +12,18 @@ When d < n, :func:`vendi_with_gram` scores the d x d matrix U^T U / n, which
 has the nonzero spectrum of K/n, and takes RKE from ||U^T U||_F = ||U U^T||_F;
 no n x n matrix is built.  The size cap bounds the order of the matrix
 actually eigensolved.  The Gram path stays the Gaussian path and the test
-oracle.
+oracle; it holds the Gram, divided by n in place, and LAPACK's copy.
 
-Every eigensolve goes through ``_eigensolve``.  It symmetrizes its input and
-sets each entry with |a_ij| < eps^2 * max|a| (eps = float64 machine epsilon)
-to exactly 0 before LAPACK sees it.  Well-separated clusters under a narrow
-Gaussian kernel give Grams with entries of 1e-87 and below, whose products in
-the tridiagonal reduction fall into subnormal arithmetic and slow the solve
-3-14x.  By Weyl's inequality the flush moves each eigenvalue by at most
-n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far below LAPACK's own
-backward error of order n * eps * ||A||_2, so the cutoff is a constant and
-not a setting.
+Every eigensolve goes through ``_eigensolve``.  In place on the array it is
+handed, it symmetrizes it and sets each entry with |a_ij| < eps^2 * max|a|
+(eps = float64 machine epsilon) to exactly 0 before LAPACK sees it; public
+entry points hand it a copy of the caller's array.  Well-separated clusters
+under a narrow Gaussian kernel give Grams with entries of 1e-87 and below,
+whose products in the tridiagonal reduction fall into subnormal arithmetic
+and slow the solve 3-14x.  By Weyl's inequality the flush moves each
+eigenvalue by at most n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far
+below LAPACK's own backward error of order n * eps * ||A||_2, so the cutoff
+is a constant and not a setting.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     NumericError,
     SizeCapExceeded,
 )
-from .kernels import GramMatrix, KernelSpec, gram, unit_rows
+from .kernels import GramMatrix, KernelSpec, SelfBlock, _average_transpose, gram, unit_rows
 
 #: eigenvalues below this (relative to unit trace) count as zero inside logs,
 #: implementing the 0*log(0) = 0 convention stably
@@ -59,12 +60,13 @@ _FLUSH_RATIO = np.finfo(np.float64).eps ** 2
 def _eigensolve(a: np.ndarray, vectors: bool = False):
     """``eigvalsh`` (or ``eigh``) of the symmetric part of ``a``, flushed.
 
-    Entries below ``_FLUSH_RATIO * max|a|`` in magnitude become exactly 0 (see
-    the module docstring).  The flush runs in place on the symmetrized copy;
-    its boolean temporaries are gone before LAPACK runs.  Non-finite entries
-    and LAPACK failures surface as ``NumericError``.
+    ``a`` is handed over: it becomes (a + a^T)/2 in place, tile by tile (a
+    no-op on a symmetric input), and its entries below ``_FLUSH_RATIO * max|a|``
+    in magnitude become exactly 0 (see the module docstring), so the only copy
+    is LAPACK's own; the flush's boolean temporaries are gone before LAPACK
+    runs.  Non-finite entries and LAPACK failures surface as ``NumericError``.
     """
-    a = (a + a.T) / 2.0
+    _average_transpose(a)
     lo, hi = a.min(), a.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericError("eigendecomposition of a matrix with non-finite entries")
@@ -131,7 +133,7 @@ class SpectrumReport:
         trace = float(np.trace(a))
         if abs(trace - 1.0) > 1e-6:
             raise NotUnitTrace(f"trace is {trace!r}, expected 1")
-        vals = _eigensolve(a) if vals is None else vals
+        vals = _eigensolve(a.copy()) if vals is None else vals
         if vals[0] < -1e-10:
             raise NotPSD(f"smallest eigenvalue {vals[0]:.3e} below tolerance")
         vals = np.maximum(vals[::-1], 0.0)
@@ -197,7 +199,7 @@ def _check_cap(order: int, size_cap: int) -> None:
 
 def _diversity(a: np.ndarray, n: int, rke_value: float, spec: KernelSpec | None) -> DiversityScore:
     """Scores of n samples from ``a``, a unit-trace matrix with the nonzero spectrum of K/n."""
-    h = von_neumann_entropy(SpectrumReport.from_matrix(a))
+    h = von_neumann_entropy(SpectrumReport.from_matrix(a, vals=_eigensolve(a)))
     log_vendi = min(h, np.log(n)) if n > 1 else 0.0
     return DiversityScore(
         vendi=float(np.exp(log_vendi)),
@@ -209,9 +211,11 @@ def _diversity(a: np.ndarray, n: int, rke_value: float, spec: KernelSpec | None)
 
 
 def score_gram(k: GramMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> DiversityScore:
-    """Vendi (exact eigendecomposition of K/n) and RKE of one Gram matrix."""
+    """Vendi (exact eigendecomposition of K/n) and RKE of one Gram matrix; ``k``
+    is left as it is unless :func:`vendi_with_gram` hands its buffer over writable."""
     _check_cap(k.n, size_cap)
-    return _diversity(k.values / k.n, k.n, rke(k), k.spec)
+    rke_value, v = rke(k), k.values  # the RKE sum first: ``v`` may become K/n in place
+    return _diversity(np.divide(v, k.n, out=v if v.flags.writeable else None), k.n, rke_value, k.spec)
 
 
 def vendi(x: EmbeddingSet, spec: KernelSpec, size_cap: int = DEFAULT_SIZE_CAP) -> DiversityScore:
@@ -221,16 +225,16 @@ def vendi(x: EmbeddingSet, spec: KernelSpec, size_cap: int = DEFAULT_SIZE_CAP) -
 
 def vendi_with_gram(
     x: EmbeddingSet, spec: KernelSpec, size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[DiversityScore, GramMatrix | None]:
-    """:func:`vendi` and the n x n Gram it scored, or None if it built none.
+) -> tuple[DiversityScore, SelfBlock | None]:
+    """:func:`vendi` and the sum and trace of the n x n Gram it scored, or None if it built none.
 
     Under the cosine kernel with d < n the scores come from the d x d matrix
     C = U^T U of the unit rows U, in O(n d^2) time and O(n d) memory:
     K/n = U U^T / n has the nonzero spectrum of C/n, and
-    sum(K_ij^2) = ||C||_F^2.  Otherwise the Gram is built and returned, so a
-    caller can reuse it as an MMD self block.  ``size_cap`` bounds the order
-    of the matrix eigensolved (d or n), checked before anything of that
-    size is allocated.
+    sum(K_ij^2) = ||C||_F^2.  Otherwise the Gram is built, its sum and trace
+    are kept for a caller's MMD, and :func:`score_gram` scores the Gram's
+    own buffer.  ``size_cap`` bounds the order of the matrix eigensolved
+    (d or n), checked before anything of that size is allocated.
     """
     n = x.n
     if spec.family == "cosine" and x.d < n:
@@ -240,7 +244,9 @@ def vendi_with_gram(
         return _diversity(c / n, n, n * n / float((c * c).sum()), spec), None
     _check_cap(n, size_cap)
     k = gram(x, spec)
-    return score_gram(k, size_cap), k
+    block = SelfBlock.of(k)
+    k.values.flags.writeable = True  # held nowhere else: score_gram may overwrite it
+    return score_gram(k, size_cap), block
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .dataio import EmbeddingSet, RunSeed
 from .discrepancy import compare
 from .entropy import vendi_with_gram
 from .errors import BadArguments, DataError, EmptyBank
-from .kernels import GramMatrix, KernelSpec, cross, gram
+from .kernels import KernelSpec, SelfBlock, cross, gram
 
 # ---------------------------------------------------------------------------
 # mixture targets
@@ -537,11 +537,11 @@ def _measure(
     target: EmbeddingSet,
     spec: MixtureSpec2D,
     kernel: KernelSpec,
-    target_gram: GramMatrix | None = None,
+    target_block: SelfBlock | None = None,
 ) -> SampleSetMetrics:
     xs = EmbeddingSet(samples, label="generated")
-    score, kxx = vendi_with_gram(xs, kernel)
-    report = compare(xs, target, kernel, kxx, target_gram)
+    score, block = vendi_with_gram(xs, kernel)
+    report = compare(xs, target, kernel, block, target_block)
     return SampleSetMetrics(
         samples=xs,
         vendi=score.vendi,
@@ -589,7 +589,7 @@ def run_guided_sampling(
     )
     unguided_samples = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
     # both measures share the target's MMD self block; cosine MMD needs none
-    kyy = gram(target, eval_kernel) if eval_kernel.family == "gaussian" else None
+    kyy = SelfBlock.of(gram(target, eval_kernel)) if eval_kernel.family == "gaussian" else None
     return GuidedRunResult(
         guided=_measure(guided_samples, target, spec, eval_kernel, kyy),
         unguided=_measure(unguided_samples, target, spec, eval_kernel, kyy),

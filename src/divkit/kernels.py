@@ -111,13 +111,32 @@ class GramMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
+
+def _trusted(values: np.ndarray, spec: KernelSpec | None) -> GramMatrix:
+    """An unchecked GramMatrix of a block built finite, in [-1, 1], symmetric, unit-diagonal."""
+    values.flags.writeable = False
+    k = object.__new__(GramMatrix)
+    vars(k).update(values=values, spec=spec)
+    return k
+
+
+@dataclass(frozen=True)
+class SelfBlock:
+    """Sum and trace of a kernel self block K(x, x): all that MMD needs of it."""
+
+    n: int
+    spec: KernelSpec | None
+    sum: float
+    trace: float
+
+    @staticmethod
+    def of(k: GramMatrix) -> "SelfBlock":
+        return SelfBlock(k.n, k.spec, k.values.sum(), np.trace(k.values))
 
 
 def _symmetrize(k: np.ndarray) -> np.ndarray:
-    """(K + K^T)/2 with the diagonal pinned to exactly 1."""
-    k = (k + k.T) / 2.0
+    """(K + K^T)/2 with the diagonal pinned to exactly 1, in place."""
+    _average_transpose(k)
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -170,6 +189,16 @@ def _mirror_upper(m: np.ndarray) -> None:
         np.copyto(block, block.T, where=_LOWER[:block.shape[0], :block.shape[0]])
         for c in range(r + t, n, t):
             m[c:c + t, r:r + t] = m[r:r + t, c:c + t].T
+
+
+def _average_transpose(m: np.ndarray) -> None:
+    """Overwrite the square ``m`` with (m + m^T)/2 in place, tile by tile, bit
+    for bit: exactly symmetric, and a no-op on an exactly symmetric ``m``."""
+    n, t = m.shape[0], _LOWER.shape[0]
+    for r in range(0, n, t):
+        for c in range(r, n, t):
+            mean = (m[r:r + t, c:c + t] + m[c:c + t, r:r + t].T) / 2.0
+            m[r:r + t, c:c + t], m[c:c + t, r:r + t] = mean, mean.T
 
 
 def _exact_sq(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -277,15 +306,15 @@ def gram(x: EmbeddingSet, spec: KernelSpec) -> GramMatrix:
     """Pairwise kernel matrix of all rows of ``x``; O(n^2 d).
 
     The Gaussian self block is already exactly symmetric with a unit
-    diagonal, so only the cosine one is symmetrized.
+    diagonal, so only the cosine one is symmetrized; neither is checked again.
     """
     k = cross(x.data, x.data, spec)
-    return GramMatrix(k if spec.family == "gaussian" else _symmetrize(k), spec)
+    return _trusted(k if spec.family == "gaussian" else _symmetrize(k), spec)
 
 
 def hadamard_square(k: GramMatrix) -> GramMatrix:
     """Entrywise square K*K; PSD whenever K is (Schur product), diag stays 1."""
-    return GramMatrix(_symmetrize(k.values * k.values), k.spec)
+    return _trusted(_symmetrize(k.values * k.values), k.spec)
 
 
 def gram_from_values(values: np.ndarray, spec: KernelSpec | None = None) -> GramMatrix:

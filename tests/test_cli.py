@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 
 import divkit.discrepancy
 import divkit.kernels
+from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
 from divkit.cli import main
-from divkit.dataio import EmbeddingSet, load_embeddings, load_record, save_embeddings
+from divkit.dataio import EmbeddingSet, RunSeed, load_embeddings, load_record, save_embeddings
 from divkit.kernels import cross
 
 
@@ -446,6 +449,47 @@ def test_score_never_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+SCORE_CASES = {
+    "gaussian_against": ("a.csv", "b.csv", ["--kernel", "gaussian", "--bandwidth", "1.5"]),
+    # cross-vertex entries near 1e-87 and below: the eigensolve flushes them
+    "cube_mixture_flushed": ("cube.csv", "cube_b.csv", ["--kernel", "gaussian", "--bandwidth", "0.1"]),
+    "cosine_against": ("a.csv", "b.csv", ["--kernel", "cosine"]),  # d < n: the d x d factor
+    "cosine_wide": ("wide.csv", "wide_b.csv", ["--kernel", "cosine"]),  # d >= n: the Gram
+}
+
+# sha256 of the standard output of each score case above
+SCORE_GOLDEN = {
+    "gaussian_against": "dc20a9256aa0aa6acc96e5e124c29bf77c9199a56e976edd733b101be3313e07",
+    "cube_mixture_flushed": "c582ce5b24448e225bed6ae8626dceb6f13734d19edc211d62dde7686dac04b3",
+    "cosine_against": "fda98aaef947c4eb0a248339109ff854235051795cac6ee434e335b4ee82d9a4",
+    "cosine_wide": "402fb543d91ca2fc902fcc3d4512648a11d9badc5a73460620eee11752d28f8d",
+}
+
+
+def score_runs(tmp_path, monkeypatch) -> dict:
+    """The stdout digest of every score case, run from ``tmp_path`` with relative paths."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    write_embeddings("a.csv", rng.normal(size=(60, 5)))
+    write_embeddings("b.csv", rng.normal(size=(50, 5)) + 0.5)
+    write_embeddings("wide.csv", rng.normal(size=(12, 20)))
+    write_embeddings("wide_b.csv", rng.normal(size=(10, 20)) + 0.3)
+    cube = CubeMixtureSpec(10, 1e-4)
+    write_embeddings("cube.csv", sample_cube_mixture(cube, 200, RunSeed(5)).data)
+    write_embeddings("cube_b.csv", sample_cube_mixture(cube, 150, RunSeed(6)).data)
+    runs = {}
+    for name, (x, y, kernel) in SCORE_CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli(["score", x, "--against", y, *kernel]) == 0
+        runs[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return runs
+
+
+def test_score_outputs_are_pinned(tmp_path, monkeypatch):
+    assert score_runs(tmp_path, monkeypatch) == SCORE_GOLDEN
 
 
 GOLDEN_CONFIGS = {

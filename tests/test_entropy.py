@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
 from divkit.dataio import EmbeddingSet, RunSeed
-from divkit.discrepancy import mmd2
+from divkit.discrepancy import compare, mmd2
 import divkit.entropy
 from divkit.entropy import (
     DEFAULT_SIZE_CAP,
@@ -29,7 +29,14 @@ from divkit.errors import (
     NotUnitTrace,
     SizeCapExceeded,
 )
-from divkit.kernels import KernelSpec, gram, gram_from_values, hadamard_square
+from divkit.kernels import (
+    KernelSpec,
+    _average_transpose,
+    gram,
+    gram_from_values,
+    hadamard_square,
+    unit_rows,
+)
 
 
 def random_gram(n, d, seed, bandwidth=1.5):
@@ -470,3 +477,75 @@ def test_gaussian_past_the_size_cap_raises_before_any_gram(monkeypatch):
         vendi(x, KernelSpec("gaussian", 1.0))
     with pytest.raises(SizeCapExceeded):
         vendi(EmbeddingSet(x.data[:20]), KernelSpec("cosine"), size_cap=2)
+
+
+# -- ownership: public entry points copy once and never write -----------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 30),
+    n=st.integers(2, 30),
+    d=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([0.3, 3.0, 30.0]),
+    family=st.sampled_from(["gaussian", "cosine"]),
+)
+def test_public_entry_points_leave_callers_arrays_unchanged(m, n, d, seed, spread, family):
+    rng = np.random.default_rng(seed)
+    x = EmbeddingSet(rng.normal(size=(m, d)) * spread)
+    y = EmbeddingSet(rng.normal(size=(n, d)) * spread + 0.5)
+    spec = KernelSpec(family, 1.0 if family == "gaussian" else None)
+    kx, ky = gram(x, spec), gram(y, spec)
+    # unit trace and not symmetric; far apart sets give an entry that is flushed
+    a = kx.values / m
+    a[-1, 0] = np.nextafter(a[-1, 0], 1.0)
+    arrays = (x.data, y.data, kx.values, ky.values, a)
+    before = [arr.tobytes() for arr in arrays]
+    von_neumann_entropy(a)
+    SpectrumReport.from_matrix(a)
+    score_gram(kx)
+    score_gram(ky)
+    compare(x, y, spec, kx, ky)
+    assert [arr.tobytes() for arr in arrays] == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 63, 64, 65, 127, 130, 200]),
+    seed=st.integers(0, 2**32 - 1),
+    cosine=st.booleans(),
+)
+def test_in_place_symmetrization_is_the_symmetric_part_bit_for_bit(n, seed, cosine):
+    rng = np.random.default_rng(seed)
+    if cosine:
+        u = unit_rows(rng.normal(size=(3 * n, n)))
+        a = u.T @ u
+    else:
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6, size=(n, n))
+    got = a.copy()
+    _average_transpose(got)
+    assert got.tobytes() == ((a + a.T) / 2.0).tobytes()
+
+
+def test_gaussian_score_and_compare_hold_two_gram_sized_buffers(monkeypatch):
+    import tracemalloc
+
+    n = 1024
+    rng = np.random.default_rng(3)
+    x = EmbeddingSet(rng.normal(size=(n, 16)))
+    y = EmbeddingSet(rng.normal(size=(n, 16)) + 0.3)
+    spec = KernelSpec("gaussian", 4.0)
+    # LAPACK's work copy is not traced, so also take what is held when it is made
+    at_solve = []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: at_solve.append(tracemalloc.get_traced_memory()[0]) or solver(a))
+    tracemalloc.start()
+    try:
+        _, block = vendi_with_gram(x, spec)
+        compare(x, y, spec, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * n * n  # the Gram and one temporary of its size
+    assert max(at_solve) <= 1.1 * 8 * n * n  # the Gram as K/n, next to LAPACK's copy
