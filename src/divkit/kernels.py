@@ -16,7 +16,7 @@ Entries that this form cannot resolve (not above 1/16 of the summed squared
 norms, or NaN because the norms overflowed) are recomputed from coordinate
 differences.  So every distance has a relative error of at most about
 16 (d + 4) eps, and rows far enough apart to overflow get kernel 0.  The
-module needs numpy only, so importing divkit loads no scipy.
+module needs numpy only, and divkit loads no scipy.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Three simplex programs over the weights q of a reweighted empirical measure:
   entropy target H(q) >= rho, via a primal-dual loop with multiplier lambda.
 * ``vne_penalized``: minimize (q-q0)^T K (q-q0) - lambda * H(q).
 * ``rke_penalized``: minimize (q-q0)^T K (q-q0) + lambda * q^T Ktilde q with
-  Ktilde the entrywise square of K; a convex quadratic program, solved
-  exactly by an active-set method without eigendecompositions.
+  Ktilde the entrywise square of K; a convex quadratic program, solved exactly
+  by an active-set method on an inverse Cholesky factor, in numpy alone.
 
 q0 is always uniform.  The VNE modes share one exponentiated-gradient (KL
 mirror descent) line search.  Penalized objectives are convex, so their
@@ -375,6 +375,50 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
                    cfg.mode, float(g @ at.q.weights - g.min()))
 
 
+def _pivoted_cholesky(a: np.ndarray, tiny: float):
+    """Greedy diagonal-pivoted Cholesky, as LAPACK's dpstrf: step j swaps the
+    largest remaining diagonal a_pp - sum_k c_kp^2 into place j and stops once
+    it is <= ``tiny``.  Returns the upper triangular c, rank x rank, with
+    c^T c = a[perm, perm] on the leading block, and the permutation perm."""
+    c, sq, perm = np.zeros_like(a), np.zeros(len(a)), np.arange(len(a))
+    for j in range(len(a)):
+        resid = a.diagonal() - sq
+        p = j + int(np.argmax(resid[perm[j:]]))
+        if resid[perm[p]] <= tiny:
+            return np.triu(c[:j, perm[:j]]), perm
+        perm[[j, p]] = perm[[p, j]]
+        i = perm[j]
+        c[j] = (a[i] - c[:j, i] @ c[:j]) / math.sqrt(resid[i])
+        sq += c[j] * c[j]
+    return np.triu(c[:, perm]), perm
+
+
+def _border(w: np.ndarray, g_bj: np.ndarray, g_jj: float, tiny: float):
+    """The inverse factor w (w w^T = G^-1) of G bordered by column g_bj and
+    diagonal g_jj; None when the Schur complement is <= ``tiny``."""
+    col = w.T @ g_bj
+    s = g_jj - col @ col
+    if s <= tiny:
+        return None
+    r = 1.0 / math.sqrt(s)
+    return np.block([[w, -r * (w @ col)[:, None]], [np.zeros((1, col.size)), r]])
+
+
+def _drop(w: np.ndarray, pos: int) -> np.ndarray:
+    """The inverse factor w (w w^T = G^-1) of G without row and column ``pos``.
+
+    Givens rotations of the column pairs (i, i+1), i >= pos, fold row pos into
+    the last column; without that row and column, the rest W' is upper
+    triangular and W' W'^T is the Schur complement of G^-1 at (pos, pos), G'^-1.
+    With r = w[pos] and a_i = hypot(a_i-1, r_i) (a_pos = r_pos), rotation i
+    takes column i, x_i = sum_k<=i r_k w_k / a_i, to (r_i+1 x_i - a_i w_i+1) / a_i+1."""
+    r = w[pos, pos:]
+    a = np.hypot.accumulate(r)
+    x = np.cumsum(w[:, pos:] * r, axis=1) / a
+    tail = (r[1:] * x[:, :-1] - a[:-1] * w[:, pos + 1:]) / a[1:]
+    return np.delete(np.hstack([w[:, :pos], tail]), pos, axis=0)
+
+
 def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
     """Minimize f(q) = (q-q0)^T K (q-q0) + lam * q^T Ktilde q over the simplex.
 
@@ -384,19 +428,18 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
     that would leave the simplex stops at the first weight to reach 0 and
     drops it, and at a face minimizer the index with the most negative
     g_j - g.q joins.  The stop is the Frank-Wolfe gap g.q - min g <= tol.
-    The face's KKT system is solved with the Cholesky factor of
-    G = H + 1 1^T on the basis (on the face 1 1^T only shifts the
-    multiplier); an add borders the factor and a drop retriangularizes it by
-    Givens rotations, O(n^2) each.  Exact duplicate rows of K share one index
-    and split its weight.  Indices that the first, pivoted, factorization
-    finds dependent (f is flat along them) keep their weight until a full
-    step zeroes it, and are retried after each drop.
+    The face's KKT system takes two products with W, the inverse Cholesky
+    factor of G = H + 1 1^T on the basis (G_BB^-1 = W W^T; on the face 1 1^T
+    only shifts the multiplier); an add borders W and a drop folds its row
+    away by Givens rotations, O(n^2) each.  Exact duplicate rows of K share
+    one index and split its weight.  Indices that the first, pivoted,
+    factorization finds dependent (f is flat along them) keep their weight
+    until a full step zeroes it, and are retried after each drop.
     """
     if cfg.mode != "rke_penalized":
         raise DataError(f"config mode is {cfg.mode!r}, expected 'rke_penalized'")
     if lam < 0:
         raise BadArguments(f"lambda must be >= 0, got {lam}")
-    from scipy.linalg import lapack, qr_delete, solve_triangular
 
     _, rep, group = np.unique(k.values, axis=0, return_index=True, return_inverse=True)
     group = group.ravel()
@@ -407,22 +450,15 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
     kk2 = kk * kk
     gmat = kk + lam * kk2 + 1.0
     tiny = m * _EPS * gmat.diagonal().max()
-    ufac, piv, rank, _ = lapack.dpstrf(gmat, tol=tiny)
-    chol = np.asfortranarray(np.triu(ufac[:rank, :rank]))
-    basis, pending = list(piv[:rank] - 1), list(piv[rank:] - 1)
-
-    def solve(r, trans=0):
-        return solve_triangular(chol, r, trans=trans, check_finite=False)
+    chol, perm = _pivoted_cholesky(gmat, tiny)
+    winv, basis, pending = np.linalg.inv(chol), list(perm[:len(chol)]), list(perm[len(chol):])
 
     def border(j) -> bool:
-        nonlocal chol
-        col = solve(gmat[basis, j], "T")
-        s = gmat[j, j] - col @ col
-        if s > tiny:
-            chol = np.asfortranarray(np.block([[chol, col[:, None]],
-                                               [np.zeros((1, col.size)), math.sqrt(s)]]))
+        nonlocal winv
+        if (grown := _border(winv, gmat[basis, j], gmat[j, j], tiny)) is not None:
+            winv = grown
             basis.append(j)
-        return s > tiny
+        return grown is not None
 
     def gradient(w):
         k2w = kk2 @ w
@@ -444,9 +480,8 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
                 pending.append(j)
         # the step d with the dependents going to 0 solves
         # G_BB d_B + mu 1 = -g_B / 2 + G_BD w_D with 1^T d_B = sum(w_D)
-        b = len(basis)
         rhs = g[basis] / 2.0 - gmat[np.ix_(basis, pending)] @ w[pending]
-        sol = solve(solve(np.column_stack([rhs, np.ones(b)]), "T"))
+        sol = winv @ (winv.T @ np.column_stack([rhs, np.ones(len(basis))]))
         mu = -(sol[:, 0].sum() + w[pending].sum()) / sol[:, 1].sum()
         d = np.zeros(m)
         d[basis] = -sol[:, 0] - mu * sol[:, 1]
@@ -463,13 +498,8 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
             pending.remove(out)
         else:
             new_w[out] = 0.0
-            # drop: Givens rotations retriangularize the rows below ``out``
-            pos = basis.index(out)
-            tail = qr_delete(np.eye(b - pos), chol[pos:, pos:], 0, which="col",
-                             check_finite=False)[1][:-1]
-            chol = np.asfortranarray(np.block([[chol[:pos, :pos], chol[:pos, pos + 1:]],
-                                               [np.zeros((b - pos - 1, pos)), tail]]))
-            basis.pop(pos)
+            winv = _drop(winv, basis.index(out))
+            basis.remove(out)
             pending = [j for j in pending if not border(j)]
         new_w /= new_w.sum()
         step, w = new_w - w, new_w

@@ -432,25 +432,6 @@ def test_non_positive_vendi_target_is_a_data_error_before_any_output(tmp_path, c
     assert not out.exists()
 
 
-def test_score_never_loads_scipy(tmp_path):
-    # importing scipy costs more start-up time than a whole 1000 x 64 score
-    rng = np.random.default_rng(8)
-    write_embeddings(tmp_path / "a.csv", rng.normal(size=(40, 5)))
-    write_embeddings(tmp_path / "b.csv", rng.normal(size=(30, 5)) + 0.5)
-    code = (
-        "import sys, divkit.cli\n"
-        "for kernel in (['--kernel', 'gaussian', '--bandwidth', '1.5'], ['--kernel', 'cosine']):\n"
-        "    assert divkit.cli.main(['score', 'a.csv', '--against', 'b.csv', *kernel]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
 SCORE_CASES = {
     "gaussian_against": ("a.csv", "b.csv", ["--kernel", "gaussian", "--bandwidth", "1.5"]),
     # cross-vertex entries near 1e-87 and below: the eigensolve flushes them
@@ -530,7 +511,7 @@ GOLDEN = {
     "vne_penalized": ("project-937cde0fe4ce",
                         "371798b1350cfe188e7f069b8b8e10d6a21df489c2eabe30ef0963075a2abacd"),
     "rke_penalized": ("project-8b87ffe02926",
-                        "1e61b52ac08a3e60b59d3c9104454066787befb5804b1dcb1391a41c93caafff"),
+                        "d21a8fc2c75b329493fa925191796213ea96936f0c62b908e39e9cb36a71045b"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",
@@ -558,3 +539,29 @@ def golden_runs(tmp_path, monkeypatch) -> dict:
 
 def test_run_commands_keep_their_config_hashes_and_records(tmp_path, monkeypatch):
     assert golden_runs(tmp_path, monkeypatch) == GOLDEN
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # importing scipy.linalg costs more start-up time than a whole 1000 x 64 score
+    # and about 20 MB of resident memory
+    rng = np.random.default_rng(8)
+    write_embeddings(tmp_path / "a.csv", rng.normal(size=(40, 5)))
+    write_embeddings(tmp_path / "b.csv", rng.normal(size=(30, 5)) + 0.5)
+    write_embeddings(tmp_path / "emb.csv", rng.normal(size=(16, 3)))
+    runs = [["score", "a.csv", "--against", "b.csv", *kernel]
+            for kernel in (["--kernel", "gaussian", "--bandwidth", "1.5"], ["--kernel", "cosine"])]
+    for name, (command, cfg) in GOLDEN_CONFIGS.items():  # every run command, all three modes
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([command, "--config", f"{name}.json", "--out", name])
+    code = (
+        "import json, sys, divkit.cli\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert divkit.cli.main(args) == 0, args\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

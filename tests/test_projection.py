@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import divkit.projection
 
@@ -15,6 +16,9 @@ from divkit.kernels import KernelSpec, gram, gram_from_values, hadamard_square
 from divkit.projection import (
     PROJECTION_MODES,
     ProjectionConfig,
+    _border,
+    _drop,
+    _pivoted_cholesky,
     eg_step,
     project_rke_penalized,
     project_vendi_penalized,
@@ -446,6 +450,11 @@ def test_rke_penalized_lambda_zero_returns_uniform_at_once():
 def test_rke_penalized_certificate_property(n, d, lam, bandwidth, seed):
     rng = np.random.default_rng(seed)
     k = gram(EmbeddingSet(rng.normal(size=(n, d))), KernelSpec("gaussian", bandwidth))
+    _assert_rke_certified(k, lam, rng)
+
+
+def _assert_rke_certified(k, lam, rng):
+    """Converged, a non-increasing trace, and no Dirichlet point beats q* by more than its gap."""
     cfg = ProjectionConfig("rke_penalized")
     res = project_rke_penalized(k, lam, cfg)
     q = res.q_star.weights
@@ -453,8 +462,102 @@ def test_rke_penalized_certificate_property(n, d, lam, bandwidth, seed):
     assert res.status == "converged" and res.gap <= cfg.tol
     assert (np.diff(res.objective_trace) <= 0.0).all()
     best = _rke_objective(k, lam, q)
-    for p in rng.dirichlet(np.full(n, 0.5), size=20):
+    for p in rng.dirichlet(np.full(k.n, 0.5), size=20):
         assert best <= _rke_objective(k, lam, p) + res.gap + 1e-12
+
+
+def _cosine_gram(n, d, seed):
+    # K = U U^T has rank d, so G = K + lam K o K + 1 1^T has rank at most
+    # d + d (d + 1) / 2 + 1 and is singular for larger n
+    return gram(EmbeddingSet(np.random.default_rng(seed).normal(size=(n, d))), KernelSpec("cosine"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), d=st.integers(1, 3), lam=st.floats(0.0, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_rke_penalized_certificate_property_on_singular_cosine_grams(n, d, lam, seed):
+    _assert_rke_certified(_cosine_gram(n, d, seed), lam, np.random.default_rng([seed, 1]))
+
+
+def test_singular_cosine_gram_takes_every_dependent_index_path(monkeypatch):
+    # a pivoted start that stops short, refused borders and drops, in one solve
+    seen = {"rank": None, "refused": 0, "drops": 0}
+
+    def pivoted_cholesky(a, tiny):
+        chol, perm = _pivoted_cholesky(a, tiny)
+        seen["rank"] = (len(chol), len(a))
+        return chol, perm
+
+    def border(*args):
+        grown = _border(*args)
+        seen["refused"] += grown is None
+        return grown
+
+    def drop(*args):
+        seen["drops"] += 1
+        return _drop(*args)
+
+    monkeypatch.setattr(divkit.projection, "_pivoted_cholesky", pivoted_cholesky)
+    monkeypatch.setattr(divkit.projection, "_border", border)
+    monkeypatch.setattr(divkit.projection, "_drop", drop)
+    _assert_rke_certified(_cosine_gram(20, 3, 4), 0.5, np.random.default_rng(4))
+    rank, m = seen["rank"]
+    assert rank <= 10 < m and seen["refused"] > 0 and seen["drops"] > 0
+
+
+# -- the numpy factor updates of rke_penalized --------------------------------------
+
+
+@pytest.mark.parametrize("n, d", [(30, 35), (30, 7), (120, 130), (120, 9)])
+def test_pivoted_cholesky_matches_dpstrf(n, d):
+    # full rank and rank d; 120 rows take LAPACK's blocked path
+    rng = np.random.default_rng([n, d])
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    a = x @ x.T
+    tiny = n * np.finfo(np.float64).eps * a.diagonal().max()
+    ufac, piv, rank, _ = lapack.dpstrf(a, tol=tiny)
+    chol, perm = _pivoted_cholesky(a, tiny)
+    assert len(chol) == rank == min(n, d)
+    np.testing.assert_array_equal(perm, piv - 1)  # no tied diagonals in continuous data
+    ref = np.triu(ufac[:rank, :rank])
+    assert np.abs(chol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _drop_by_rotations(w, pos):
+    """Reference for _drop: one Givens rotation per column pair (i, i+1), in turn."""
+    w = w.copy()
+    for i in range(pos, len(w) - 1):
+        a, b = w[pos, i], w[pos, i + 1]
+        w[:, [i, i + 1]] = w[:, [i, i + 1]] @ np.array([[b, a], [-a, b]]) / np.hypot(a, b)
+    return np.delete(w[:, :-1], pos, axis=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_border_and_drop_keep_the_inverse_factor(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    x = rng.normal(size=(n, n + 10))
+    g = x @ x.T / n
+    basis = list(rng.permutation(n)[:5])
+    w = np.linalg.inv(np.linalg.cholesky(g[np.ix_(basis, basis)]).T)
+    tiny = n * np.finfo(np.float64).eps * g.diagonal().max()
+    for _ in range(80):
+        rest = [j for j in range(n) if j not in basis]
+        if len(basis) > 1 and (not rest or rng.random() < 0.5):
+            pos = int(rng.integers(len(basis)))
+            ref = _drop_by_rotations(w, pos)
+            w = _drop(w, pos)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+            basis.pop(pos)
+        else:
+            j = int(rng.choice(rest))
+            w = _border(w, g[basis, j], g[j, j], tiny)
+            basis.append(j)
+        assert not np.tril(w, -1).any()
+        inv = np.linalg.inv(g[np.ix_(basis, basis)])
+        assert np.abs(w @ w.T - inv).max() <= 1e-10 * np.abs(inv).max()
+    # an index already in the basis is dependent: its border is refused
+    assert _border(w, g[basis, basis[0]], g[basis[0], basis[0]], tiny) is None
 
 
 def test_gap_is_none_for_vne_constrained():
