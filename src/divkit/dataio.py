@@ -13,6 +13,23 @@ integers are little-endian.  Gram matrices use the same container with magic
 Results: canonical UTF-8 JSON with sorted keys and floats rendered with 17
 significant digits, so writing and re-reading a record is the identity.
 
+Ingest
+------
+numpy's C reader does the parsing of a CSV file, in one pass: a line filter
+drops blank and comment lines and feeds the stripped data lines to
+``np.loadtxt``.  The line reader, ``_read_csv_lines``, decides every failure.
+When the filter meets a data line it will not pass (one holding an ASCII
+information separator, which numpy would skip as whitespace and Python's
+``float`` rejects), or numpy rejects a line (a changed field count) or a
+value (an inline '#' among others), the line reader reads the file again
+through Python's ``float``.  It raises the first error in file order, or
+returns the values ``float`` gives: inputs such as ``1_0`` or non-ASCII
+digits are read only there.  Both paths give the same values bit for bit.
+A binary container lands in its array once: its header is checked against
+the file size before anything is allocated, and its payload is read straight
+into the returned array.  Writing sends the header and then the array's own
+buffer.
+
 Randomness
 ----------
 All Monte Carlo code draws from counter-based Philox streams keyed by a
@@ -68,10 +85,7 @@ class EmbeddingSet:
             raise EmptySet("embedding set has no rows")
         if arr.shape[1] < 1:
             raise DataError("embedding set has zero columns")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
-            raise NonFiniteEntry(int(r), int(c), self.label)
+        _check_finite(arr, self.label)
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -122,12 +136,77 @@ def detect_format(path: str) -> str:
     return "binary" if head == _MAGIC_EMBD else "csv"
 
 
+def _check_finite(arr: np.ndarray, where: str) -> None:
+    """Raise ``NonFiniteEntry`` at the first non-finite entry in row order.
+
+    The min and the max carry any NaN or infinity, so a finite array is
+    checked without an array-sized temporary.
+    """
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        r, c = np.argwhere(~np.isfinite(arr))[0]
+        raise NonFiniteEntry(int(r), int(c), where)
+
+
+class _LeaveToLineReader(Exception):
+    """Raised by the CSV line filter at a data line numpy's reader must not see."""
+
+
+def _data_lines(fh, path: str):
+    """The stripped data lines of an open CSV file, for ``np.loadtxt``.
+
+    Skips blank lines and lines that start with '#'.  Raises
+    ``_LeaveToLineReader`` at a data line holding an ASCII information
+    separator \\x1c-\\x1f, which numpy skips as whitespace around a value and
+    Python's ``float`` rejects, and ``EmptySet`` at the end of a file without
+    data lines, so numpy never reads an empty input.  numpy itself raises at
+    a changed field count and at a '#' inside a data line (``comments=None``).
+    """
+    empty = True
+    for line in fh:
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise _LeaveToLineReader
+        empty = False
+        yield line
+    if empty:
+        raise EmptySet(f"{path}: no data rows")
+
+
 def _load_csv(path: str) -> EmbeddingSet:
-    rows: list[list[float]] = []
-    width = -1
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            arr = np.loadtxt(_data_lines(fh, path), delimiter=",", comments=None,
+                             dtype=np.float64, ndmin=2)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except (_LeaveToLineReader, ValueError):  # ValueError covers UnicodeDecodeError
+        arr = _read_csv_lines(path)
+    _check_finite(arr, path)
+    return EmbeddingSet(arr, label=os.path.basename(path))
+
+
+def _read_csv_lines(path: str) -> np.ndarray:
+    """The reference CSV reader: one line at a time through Python's ``float``.
+
+    Raises the first error in file order: bytes that are not UTF-8 (by byte
+    offset), a ragged row or an unparsable value (by line number); then
+    ``EmptySet`` if no data line was found.
+    """
+    rows: list[list[float]] = []
+    width = -1
+    offset = 0
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             for lineno, line in enumerate(fh, start=1):
+                try:
+                    offset += len(line.encode("utf-8"))
+                except UnicodeEncodeError as exc:  # a byte escaped by surrogateescape
+                    at = offset + len(line[:exc.start].encode("utf-8"))
+                    raise MalformedFile(
+                        f"{path}: invalid UTF-8 at byte {at} (line {lineno})"
+                    ) from None
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -147,43 +226,41 @@ def _load_csv(path: str) -> EmbeddingSet:
         raise IoFailure(str(exc)) from exc
     if not rows:
         raise EmptySet(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        r, c = bad[0]
-        raise NonFiniteEntry(int(r), int(c), path)
-    return EmbeddingSet(arr, label=os.path.basename(path))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _write_container(path: str, magic: bytes, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     n, d = arr.shape
-    header = magic + struct.pack("<IQQ", _BINARY_VERSION, n, d)
-    payload = arr.astype("<f8", copy=False).tobytes(order="C")
-    _write_bytes(path, header + payload)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(magic + struct.pack("<IQQ", _BINARY_VERSION, n, d))
+            fh.write(arr)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def _read_container(path: str, magic: bytes) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            header = fh.read(24)
+            if len(header) < 24 or header[:4] != magic:
+                raise MalformedFile(f"{path}: bad magic, expected {magic.decode()}")
+            version, n, d = struct.unpack("<IQQ", header[4:])
+            if version != _BINARY_VERSION:
+                raise MalformedFile(f"{path}: unsupported version {version}")
+            if n == 0:
+                raise EmptySet(f"{path}: container declares zero rows")
+            expected = 24 + 8 * n * d
+            found = os.fstat(fh.fileno()).st_size
+            if found == expected:  # a file that shrinks while read is caught below
+                arr = np.empty((n, d), dtype="<f8")
+                found = 24 + fh.readinto(arr)
+            if found != expected:
+                raise MalformedFile(f"{path}: expected {expected} bytes, found {found}")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    if len(blob) < 24 or blob[:4] != magic:
-        raise MalformedFile(f"{path}: bad magic, expected {magic.decode()}")
-    version, n, d = struct.unpack("<IQQ", blob[4:24])
-    if version != _BINARY_VERSION:
-        raise MalformedFile(f"{path}: unsupported version {version}")
-    if n == 0:
-        raise EmptySet(f"{path}: container declares zero rows")
-    expected = 24 + 8 * n * d
-    if len(blob) != expected:
-        raise MalformedFile(f"{path}: expected {expected} bytes, found {len(blob)}")
-    arr = np.frombuffer(blob, dtype="<f8", offset=24).reshape(int(n), int(d)).copy()
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        r, c = bad[0]
-        raise NonFiniteEntry(int(r), int(c), path)
+    _check_finite(arr, path)
     return arr
 
 
@@ -194,14 +271,6 @@ def write_matrix_container(path: str, arr: np.ndarray) -> None:
 
 def read_matrix_container(path: str) -> np.ndarray:
     return _read_container(path, _MAGIC_GRAM)
-
-
-def _write_bytes(path: str, blob: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
 
 
 def write_text(path: str, text: str) -> None:

@@ -317,11 +317,15 @@ def hadamard_square(k: GramMatrix) -> GramMatrix:
     return _trusted(_symmetrize(k.values * k.values), k.spec)
 
 
+def _check_square(values: np.ndarray) -> None:
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise DimensionMismatch(f"expected a square array, got shape {values.shape}")
+
+
 def gram_from_values(values: np.ndarray, spec: KernelSpec | None = None) -> GramMatrix:
     """Wrap a raw array, symmetrizing and pinning the diagonal first."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DimensionMismatch(f"expected a square array, got shape {values.shape}")
+    _check_square(values)
     return GramMatrix(_symmetrize(np.clip(values, -1.0, 1.0)), spec)
 
 
@@ -330,5 +334,12 @@ def save_gram(k: GramMatrix, path: str) -> None:
 
 
 def load_gram(path: str, spec: KernelSpec | None = None) -> GramMatrix:
+    """Read a GRAM container as the Gram ``gram_from_values`` makes of it.
+
+    The reader has checked every entry finite, so clipping and symmetrizing
+    the array it returns, in place, leaves a valid Gram in one buffer.
+    """
     values = dataio.read_matrix_container(path)
-    return gram_from_values(values, spec)
+    _check_square(values)
+    np.clip(values, -1.0, 1.0, out=values)
+    return _trusted(_symmetrize(values), spec)

@@ -23,6 +23,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from divkit.bias_lab import (
     CubeMixtureSpec,
@@ -118,6 +119,7 @@ def test_criterion_02_discrete_entropy_bias():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_cube_mixture_vendi_curve():
     sizes = [64 * 2**k for k in range(7)]  # 64 .. 4096
     sampler = cube_mixture_sampler(CubeMixtureSpec(10, 1e-4))
@@ -306,6 +308,7 @@ def test_criterion_08_projected_vendi_direction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_guidance_diversity_rescue():
     spec = MixtureSpec2D.grid(4, 4, 2.0, 0.1)
     sched = NoiseSchedule.cosine(200)
@@ -346,6 +349,7 @@ def test_criterion_09_guidance_diversity_rescue():
            f"{wins}/5 seeds improved ({'; '.join(lines)}); score FD error {worst:.2e} <= 1e-6")
 
 
+@pytest.mark.slow
 def test_criterion_10_cli_determinism(tmp_path):
     env = dict(os.environ)
     repo_src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -103,6 +103,15 @@ def test_score_data_error_exit_code(tmp_path):
     assert run_cli(["score", good, "--against", against, "--kernel", "cosine"]) == 2
 
 
+def test_score_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"1,2\n\xff,3\n")
+    assert run_cli(["score", p, "--kernel", "cosine"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("divkit: data error: ")
+    assert f"{p}: invalid UTF-8 at byte 4 (line 2)" in err
+
+
 def test_score_numeric_error_exit_code(tmp_path):
     # the cap bounds the order of the eigensolved matrix: d x d for cosine when d < n
     p = tmp_path / "big.csv"

@@ -1,9 +1,15 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from divkit import dataio
 from divkit.dataio import (
     EmbeddingSet,
     ResultRecord,
@@ -23,6 +29,7 @@ from divkit.errors import (
     NonFiniteEntry,
     SizeTooLarge,
 )
+from divkit.kernels import gram_from_values, load_gram
 
 
 def test_csv_load_basic(tmp_path):
@@ -128,6 +135,149 @@ def test_embeddingset_immutable():
     x = EmbeddingSet(np.ones((2, 2)))
     with pytest.raises(ValueError):
         x.data[0, 0] = 5.0
+
+
+# -- the two CSV paths ------------------------------------------------------
+
+def line_reader(path):
+    """The reference outcome: the line reader, then the finiteness check."""
+    arr = dataio._read_csv_lines(path)
+    dataio._check_finite(arr, path)
+    return arr
+
+
+def outcome(load, path):
+    try:
+        arr = load(path)
+    except Exception as exc:  # the error is the outcome under test
+        return type(exc), str(exc)
+    arr = getattr(arr, "data", arr)
+    return "ok", arr.shape, arr.tobytes()
+
+
+#: (name, file bytes, the class of the error both readers raise, or None)
+MALFORMED = [
+    ("ragged_row", b"1,2\n3,4,5\n", MalformedFile),
+    ("unparsable_value", b"1,2\nx,4\n", MalformedFile),
+    ("inline_hash", b"1,2\n3,4 # note\n", MalformedFile),
+    ("inline_hash_on_ragged_line", b"1,2\n3,4 # note, more\n", MalformedFile),
+    ("unparsable_before_ragged", b"1,2\n3,y\n5,6,7\n", MalformedFile),
+    ("empty_file", b"", EmptySet),
+    ("comments_only", b"# c0,c1\n  # more\n\n", EmptySet),
+    ("bom", b"\xef\xbb\xbf1,2\n3,4\n", MalformedFile),
+    ("trailing_comma", b"1,2,\n3,4,\n", MalformedFile),
+    ("nul", b"1,2\x00\n3,4\n", MalformedFile),
+    ("nan", b"1,2\n3,nan\n", NonFiniteEntry),
+    ("inf", b"1,-inf\n3,4\n", NonFiniteEntry),
+    ("underscore", b"1_0,2\n3,4\n", None),
+    ("arabic_indic_digit", "\u0661,2\n3,4\n".encode(), None),
+    ("cr_only_endings", b"1,2\r3,4\r", None),
+    ("crlf_endings", b"1,2\r\n3,4\r\n", None),
+    ("form_feed", b"1,2\x0c\n3\x0c,4\n", None),
+    ("single_value", b"5\n", None),
+    ("spaces_and_tabs", b" 1 ,\t2\t\n\t3,  4 \n", None),
+    ("indented_comment", b"1,2\n   # c\n3,4\n", None),
+    ("invalid_utf8", b"1,2\n\xff,3\n", MalformedFile),
+    # numpy skips \x1c-\x1f around a value as whitespace; Python's float does not
+    ("information_separator", b"1\x1c,2\n3,4\n", MalformedFile),
+]
+
+
+@pytest.mark.parametrize("name,blob,error", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_csv_corpus_matches_the_line_reader(tmp_path, name, blob, error):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(blob)
+    got = outcome(dataio._load_csv, str(p))
+    assert got == outcome(line_reader, str(p))
+    assert got[0] == (error or "ok")
+
+
+def test_csv_invalid_utf8_names_the_byte(tmp_path):
+    p = tmp_path / "x.csv"
+    blob = b"# header\n1,2\n3,\xe2\x82\n"  # a cut-off three-byte sequence
+    p.write_bytes(blob)
+    at = blob.index(b"\xe2")
+    with pytest.raises(MalformedFile, match=rf"invalid UTF-8 at byte {at} \(line 3\)"):
+        load_embeddings(str(p))
+
+
+def test_csv_first_error_in_file_order_wins(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_bytes(b"1,2\n3\n\xff,4\n")
+    with pytest.raises(MalformedFile, match="ragged row at line 2"):
+        load_embeddings(str(p))
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300, 1e-300, -1e-300]),
+)
+padding = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 12))
+def test_csv_fast_path_matches_the_line_reader_bitwise(tmp_path_factory, data, n, d):
+    x = data.draw(arrays(np.float64, (n, d), elements=finite))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    extras = ["", "# a comment", "  \t# indented, comment", " \t "]
+    lines = []
+    for row in x:
+        lines += data.draw(st.lists(st.sampled_from(extras), max_size=2))
+        lines.append(",".join(data.draw(padding) + dataio.format_float(v) + data.draw(padding)
+                              for v in row))
+    p = tmp_path_factory.mktemp("csv") / "x.csv"
+    p.write_bytes(newline.join(lines).encode() + newline.encode())
+    with mock.patch.object(dataio, "_read_csv_lines", side_effect=AssertionError("fell back")):
+        got = load_embeddings(str(p)).data
+    assert got.tobytes() == x.tobytes()
+    assert got.tobytes() == line_reader(str(p)).tobytes()
+
+
+# -- memory of ingest (tracemalloc follows numpy's data buffers) ------------
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_load_peak_is_at_most_twice_the_array(tmp_path):
+    x = EmbeddingSet(np.random.default_rng(4).normal(size=(1000, 64)))
+    p = tmp_path / "x.csv"
+    save_embeddings(x, str(p), "csv")
+    assert traced_peak(lambda: load_embeddings(str(p))) <= 2.0 * x.data.nbytes
+
+
+def gram_file(tmp_path, n=1024):
+    """A GRAM container of an asymmetric matrix with entries outside [-1, 1]."""
+    values = np.random.default_rng(5).uniform(-1.5, 1.5, size=(n, n))
+    p = tmp_path / "k.gram"
+    dataio.write_matrix_container(str(p), values)
+    return str(p), values
+
+
+def test_container_read_lands_in_one_array(tmp_path):
+    path, values = gram_file(tmp_path)
+    assert traced_peak(lambda: dataio.read_matrix_container(path)) <= 1.1 * values.nbytes
+    assert np.array_equal(dataio.read_matrix_container(path), values)
+
+
+def test_container_write_copies_nothing(tmp_path):
+    values = np.random.default_rng(6).normal(size=(1024, 1024))
+    p = tmp_path / "k.gram"
+    peak = traced_peak(lambda: dataio.write_matrix_container(str(p), values))
+    assert peak <= 0.1 * values.nbytes
+    assert p.read_bytes()[24:] == values.astype("<f8").tobytes()
+
+
+def test_load_gram_holds_one_buffer(tmp_path):
+    path, values = gram_file(tmp_path)
+    assert traced_peak(lambda: load_gram(path)) <= 1.2 * values.nbytes
+    assert load_gram(path).values.tobytes() == gram_from_values(values).values.tobytes()
 
 
 # -- records ----------------------------------------------------------------

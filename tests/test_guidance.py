@@ -419,6 +419,7 @@ def test_sample_mixture_weights():
     assert frac_far == pytest.approx(0.1, abs=0.02)
 
 
+@pytest.mark.slow
 def test_skewed_base_guidance_improves_rke_and_coverage():
     # the diversity rescue this sandbox exists to demonstrate: with a skewed
     # sampler, repulsion raises order-2 diversity and mode coverage

@@ -277,6 +277,7 @@ def test_weights_remain_simplex_and_nonnegative():
         )
 
 
+@pytest.mark.slow
 def test_feasible_target_projection_direction():
     # a target p inside the entropy superlevel set never gets farther after
     # projecting the uniform weights onto that set
