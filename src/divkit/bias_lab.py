@@ -38,16 +38,13 @@ CurveSource = Union[EmbeddingSet, Sampler]
 
 @dataclass(frozen=True)
 class DiscreteLawSpec:
-    """A discrete law on {0, ..., r-1}; only the uniform law is provided."""
+    """The uniform law on {0, ..., r-1}."""
 
     alphabet_size: int
-    law: str = "uniform"
 
     def __post_init__(self):
         if self.alphabet_size < 2:
             raise BadArguments(f"alphabet size must be >= 2, got {self.alphabet_size}")
-        if self.law != "uniform":
-            raise BadArguments(f"unknown law {self.law!r}")
 
     @property
     def entropy(self) -> float:
@@ -122,7 +119,7 @@ def miller_gap(r: int, n: int) -> float:
 # diversity curves
 # ---------------------------------------------------------------------------
 
-CURVE_METRICS = ("exp_shannon", "vendi", "rke")
+CURVE_METRICS = ("exp_shannon", "vendi")
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class DiversityCurve:
     """Score versus sample size, averaged over independent trials.
 
     ``mean`` holds the per-size average of the per-trial scores (already on
-    the exponential scale for all three metrics); the confidence band is the
+    the exponential scale for both metrics); the confidence band is the
     95% normal approximation mean +/- 1.96 * sd / sqrt(trials).
     """
 
@@ -401,15 +398,13 @@ def check_concentration(
     spec: KernelSpec,
     delta: float,
     rng: RunSeed,
-    size_cap: int = DEFAULT_SIZE_CAP,
     jobs: int = 1,
 ) -> ConcentrationReport:
     """Empirical check that log-Vendi deviates beyond t_delta at rate <= delta.
 
-    Draws ``trials`` independent size-m samples, measures log-Vendi, and
-    counts deviations from the across-trial mean exceeding t_delta.  Passes
-    when the violation fraction is at most delta plus three binomial standard
-    errors.  ``size_cap`` bounds the order of each eigensolved matrix.
+    Draws ``trials`` independent size-m samples, measures log-Vendi, and counts
+    deviations from the across-trial mean exceeding t_delta.  Passes when the
+    violation fraction is at most delta plus three binomial standard errors.
     """
     if trials < 30:
         raise BadArguments("need at least 30 trials for a meaningful rate estimate")
@@ -417,7 +412,7 @@ def check_concentration(
 
     def one(_: int, j: int) -> float:
         x = sampler(m, rng.child(j))
-        return vendi(x, spec, size_cap=size_cap).log_vendi
+        return vendi(x, spec).log_vendi
 
     values = np.sort(_run_trials(one, 1, trials, jobs)[0])
     center = float(values.mean())
@@ -457,12 +452,15 @@ class RkePopulationEstimate:
         }
 
 
+#: pairs drawn per sampler call; the chunk index keys each chunk's streams
+_PAIR_CHUNK = 250_000
+
+
 def population_rke_mc(
     sampler: Sampler,
     spec: KernelSpec,
     pair_count: int,
     rng: RunSeed,
-    chunk_size: int = 250_000,
 ) -> RkePopulationEstimate:
     """Monte Carlo estimate of the population RKE from independent pairs."""
     if pair_count < 100:
@@ -472,7 +470,7 @@ def population_rke_mc(
     done = 0
     chunk_index = 0
     while done < pair_count:
-        size = min(chunk_size, pair_count - done)
+        size = min(_PAIR_CHUNK, pair_count - done)
         x = sampler(size, rng.child(2 * chunk_index)).data
         y = sampler(size, rng.child(2 * chunk_index + 1)).data
         ksq = paired(x, y, spec) ** 2

@@ -74,13 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
 _REQUIRED = object()
 
 
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_not_json)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or NaN/Infinity (RFC 8259 has none)
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
@@ -236,8 +240,10 @@ def _prepare_project(c: dict):
             raise UsageError("vne_constrained mode needs 'rho' (nats) or 'vendi_target'")
     elif lam is None:
         raise UsageError("penalized modes need a 'lambda' value")
-    pcfg = projection.ProjectionConfig(mode=mode, rho=rho, lam=lam, eta=c["eta"], gamma=c["gamma"],
-                                       max_iters=c["max_iters"], tol=c["tol"])
+    else:
+        projection._check_lambda(lam)
+    pcfg = projection.ProjectionConfig(eta=c["eta"], gamma=c["gamma"], max_iters=c["max_iters"],
+                                       tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
         k = (gram(dataio.load_embeddings(path, c["gram"].get("format")), kernel)

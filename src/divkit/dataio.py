@@ -40,10 +40,12 @@ platform and distinct stream_ids give independent streams.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +118,10 @@ def load_embeddings(path: str, fmt: str | None = None) -> EmbeddingSet:
 
 
 def save_embeddings(x: EmbeddingSet, path: str, fmt: str = "binary") -> None:
-    if fmt == "csv":
-        lines = ["# " + ",".join(f"c{j}" for j in range(x.d))]
-        for row in x.data:
-            lines.append(",".join(format_float(v) for v in row))
-        write_text(path, "\n".join(lines) + "\n")
+    if fmt == "csv":  # each row is written as it is formatted
+        header = "# " + ",".join(f"c{j}" for j in range(x.d)) + "\n"
+        rows = (",".join(map(format_float, row.tolist())) + "\n" for row in x.data)
+        write_text(path, itertools.chain((header,), rows))
     elif fmt == "binary":
         _write_container(path, _MAGIC_EMBD, x.data)
     else:
@@ -273,10 +274,11 @@ def read_matrix_container(path: str) -> np.ndarray:
     return _read_container(path, _MAGIC_GRAM)
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable in turn, to ``path`` as UTF-8."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

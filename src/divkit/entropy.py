@@ -122,10 +122,9 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     trace: float
-    floor: float = SPECTRAL_FLOOR
 
     @staticmethod
-    def from_matrix(a: np.ndarray, floor: float = SPECTRAL_FLOOR, vals=None) -> "SpectrumReport":
+    def from_matrix(a: np.ndarray, vals=None) -> "SpectrumReport":
         """Checked spectrum of ``a``; ``vals`` are its ascending eigenvalues if already solved."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -137,18 +136,18 @@ class SpectrumReport:
         if vals[0] < -1e-10:
             raise NotPSD(f"smallest eigenvalue {vals[0]:.3e} below tolerance")
         vals = np.maximum(vals[::-1], 0.0)
-        return SpectrumReport(vals, trace, floor)
+        return SpectrumReport(vals, trace)
 
 
-def von_neumann_entropy(a, floor: float = SPECTRAL_FLOOR) -> float:
+def von_neumann_entropy(a) -> float:
     """Entropy -sum(lam * log(lam)) of a unit-trace PSD matrix (nats).
 
     Accepts either the matrix itself or a precomputed SpectrumReport.
-    Eigenvalues at or below ``floor`` contribute nothing (0*log(0) = 0).
+    Eigenvalues at or below SPECTRAL_FLOOR contribute nothing (0*log(0) = 0).
     """
-    report = a if isinstance(a, SpectrumReport) else SpectrumReport.from_matrix(a, floor)
+    report = a if isinstance(a, SpectrumReport) else SpectrumReport.from_matrix(a)
     lam = report.eigenvalues
-    live = lam[lam > report.floor]
+    live = lam[lam > SPECTRAL_FLOOR]
     return max(0.0, float(-(live * np.log(live)).sum()))
 
 
@@ -265,9 +264,9 @@ def weighted_gram(k: GramMatrix, q: WeightVector) -> np.ndarray:
     return k.values * np.outer(root, root)
 
 
-def vne_weighted(k: GramMatrix, q: WeightVector, floor: float = SPECTRAL_FLOOR) -> float:
+def vne_weighted(k: GramMatrix, q: WeightVector) -> float:
     """Entropy of the q-reweighted measure; Shannon entropy of q when K = I."""
-    return von_neumann_entropy(weighted_gram(k, q), floor)
+    return von_neumann_entropy(weighted_gram(k, q))
 
 
 def _weighted_eigh(k: GramMatrix, q: WeightVector) -> tuple[float, tuple]:
@@ -277,25 +276,19 @@ def _weighted_eigh(k: GramMatrix, q: WeightVector) -> tuple[float, tuple]:
     return von_neumann_entropy(SpectrumReport.from_matrix(a, vals=eig[0])), eig
 
 
-def vne_gradient(
-    k: GramMatrix,
-    q: WeightVector,
-    floor: float = SPECTRAL_FLOOR,
-    weight_floor: float = WEIGHT_FLOOR,
-    eig: tuple | None = None,
-) -> np.ndarray:
+def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np.ndarray:
     """Gradient of ``vne_weighted`` with respect to the weights.
 
     Evaluated in the eigenbasis of A(q) = diag(sqrt(q)) K diag(sqrt(q)):
     with A = U diag(lam) U^T the i-th component is
 
-        g_i = -(1/q_i) * sum_j U_ij^2 * lam_j * (log(max(lam_j, floor)) + 1),
+        g_i = -(1/q_i) * sum_j U_ij^2 * lam_j * (log(max(lam_j, SPECTRAL_FLOOR)) + 1),
 
     which reproduces the quadratic form of the i-th kernel feature against
     log(C(q)) + I.  Matches central finite differences along simplex tangent
     directions to relative 1e-5 at interior q.
 
-    Weights at or below ``weight_floor`` take the analytically continued
+    Weights at or below WEIGHT_FLOOR take the analytically continued
     limit with the floor substituted for q_i in the division; components with
     exactly zero weight get a zero gradient (they carry no spectral mass).
     ``eig`` takes the eigenpairs of A(q) if they are already solved.
@@ -303,9 +296,9 @@ def vne_gradient(
     _check_dims(k, q)
     lam, u = _eigensolve(weighted_gram(k, q), vectors=True) if eig is None else eig
     lam_pos = np.maximum(lam, 0.0)
-    log_term = np.log(np.maximum(lam, floor)) + 1.0
+    log_term = np.log(np.maximum(lam, SPECTRAL_FLOOR)) + 1.0
     mass = (u * u) @ (lam_pos * log_term)
-    return -mass / np.maximum(q.weights, weight_floor)
+    return -mass / np.maximum(q.weights, WEIGHT_FLOOR)
 
 
 def inverse_rke_weighted(k2: GramMatrix, q: WeightVector) -> float:

@@ -119,7 +119,6 @@ class NoiseSchedule:
     """
 
     alphas_bar: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         ab = np.asarray(self.alphas_bar, dtype=np.float64)
@@ -147,19 +146,20 @@ class NoiseSchedule:
         raise BadArguments(f"step index {t} outside [0, {self.steps}]")
 
     @staticmethod
-    def linear_beta(steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> "NoiseSchedule":
-        betas = np.linspace(beta_start, beta_end, steps)
-        return NoiseSchedule(np.cumprod(1.0 - betas), kind="linear_beta")
+    def linear_beta(steps: int) -> "NoiseSchedule":
+        betas = np.linspace(1e-4, 0.02, steps)  # Ho et al. (2020)
+        return NoiseSchedule(np.cumprod(1.0 - betas))
 
     @staticmethod
-    def cosine(steps: int, offset: float = 0.008) -> "NoiseSchedule":
+    def cosine(steps: int) -> "NoiseSchedule":
+        offset = 0.008  # Nichol and Dhariwal (2021)
         t = np.arange(1, steps + 1) / steps
         f = np.cos((t + offset) / (1.0 + offset) * np.pi / 2.0) ** 2
         f0 = math.cos(offset / (1.0 + offset) * np.pi / 2.0) ** 2
         ab = np.clip(f / f0, 1e-9, 0.9999)
         ab = np.minimum.accumulate(ab)  # guard monotonicity at the tail
         ab -= np.arange(steps) * 1e-15  # break exact ties
-        return NoiseSchedule(ab, kind="cosine")
+        return NoiseSchedule(ab)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +504,12 @@ def _generate(
     rng: RunSeed,
     stochastic: bool,
     bank_policy: str,
-    bank_capacity: int | None,
 ) -> tuple[np.ndarray, int, MemoryBank]:
     """The guided pass, one sample at a time: the bank couples each sample to
-    the ones before it."""
+    the ones before it, and holds every entry the pass adds."""
     steps = sched.steps
-    if bank_capacity is None:
-        per_sample = 1 if bank_policy == "all_finals" else len(range(0, steps, cfg.apply_every))
-        bank_capacity = max(n_samples * per_sample, 1)
-    bank = MemoryBank(bank_capacity, policy=bank_policy)
+    per_sample = 1 if bank_policy == "all_finals" else len(range(0, steps, cfg.apply_every))
+    bank = MemoryBank(max(n_samples * per_sample, 1), policy=bank_policy)
     table = _step_table(base, sched)
     out = np.empty((n_samples, 2))
     empty_hits = 0
@@ -562,7 +559,6 @@ def run_guided_sampling(
     rng: RunSeed,
     stochastic: bool = True,
     bank_policy: str = "all_finals",
-    bank_capacity: int | None = None,
     metric_kernel: KernelSpec | None = None,
 ) -> GuidedRunResult:
     """Generate guided and unguided sample sets and score both.
@@ -585,7 +581,7 @@ def run_guided_sampling(
     base = spec.with_weights(base_weights)
     target = sample_mixture(spec, n_samples, rng.child(n_samples))
     guided_samples, empty_hits, _ = _generate(
-        base, n_samples, sched, cfg, rng, stochastic, bank_policy, bank_capacity
+        base, n_samples, sched, cfg, rng, stochastic, bank_policy
     )
     unguided_samples = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
     # both measures share the target's MMD self block; cosine MMD needs none

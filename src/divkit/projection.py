@@ -35,8 +35,6 @@ from .entropy import (
 from .errors import BadArguments, DataError
 from .kernels import GramMatrix, hadamard_square
 
-PROJECTION_MODES = ("vne_constrained", "vne_penalized", "rke_penalized")
-
 _MAX_BACKTRACKS = 50
 _LAMBDA_CEILING = 1e6
 _STAGNATION_WINDOW = 100
@@ -51,30 +49,21 @@ _LOG = logging.getLogger("divkit")
 class ProjectionConfig:
     """Solver knobs shared by the three projection modes.
 
-    ``rho`` (entropy target, nats) applies to vne_constrained only; ``lam``
-    to the penalized modes.  Both may also be passed directly to the solver
-    functions, which take precedence.  ``eta`` and ``gamma`` apply to the VNE
-    modes only; for rke_penalized ``max_iters`` counts support changes.
+    Each solver takes its entropy target or lambda as an argument.  ``eta``
+    applies to the VNE modes only and ``gamma`` to vne_constrained only; for
+    rke_penalized ``max_iters`` counts support changes.
     """
 
-    mode: str
-    rho: float | None = None
-    lam: float | None = None
     eta: float = 0.1
     gamma: float = 1.0
     max_iters: int = 5000
     tol: float = 1e-8
-    weight_floor: float = WEIGHT_FLOOR
 
     def __post_init__(self):
-        if self.mode not in PROJECTION_MODES:
-            raise DataError(f"unknown projection mode {self.mode!r}")
-        if self.eta <= 0 or self.gamma <= 0 or self.tol <= 0:
-            raise BadArguments("eta, gamma and tol must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.eta, self.gamma, self.tol)):
+            raise BadArguments("eta, gamma and tol must be finite and positive")
         if self.max_iters < 1:
             raise BadArguments("max_iters must be >= 1")
-        if self.lam is not None and self.lam < 0:
-            raise BadArguments("lambda must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ class ProjectionResult:
         }
 
 
-def _hold_floor(q: WeightVector, floor: float) -> WeightVector:
+def _hold_floor(q: WeightVector) -> WeightVector:
     """Hold live components at the weight floor; exact zeros stay dead.
 
     Multiplicative updates cannot revive a component once it reaches zero,
@@ -126,10 +115,10 @@ def _hold_floor(q: WeightVector, floor: float) -> WeightVector:
     of being allowed to underflow away.
     """
     w = q.weights
-    sagging = (w > 0.0) & (w < floor)
+    sagging = (w > 0.0) & (w < WEIGHT_FLOOR)
     if not sagging.any():
         return q
-    return WeightVector(np.where(sagging, floor, w))
+    return WeightVector(np.where(sagging, WEIGHT_FLOOR, w))
 
 
 def eg_step(q: WeightVector, g: np.ndarray, eta: float) -> WeightVector:
@@ -185,6 +174,11 @@ def _finish(
     )
 
 
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise BadArguments(f"lambda must be finite and >= 0, got {lam}")
+
+
 def _kd_and_grad(k: GramMatrix, q: WeightVector, q0: WeightVector):
     diff = q.weights - q0.weights
     kdiff = k.values @ diff
@@ -202,19 +196,19 @@ class _Point:
     eig: tuple
 
 
-def _screen_slack(at: _Point, weight_floor: float) -> float | None:
+def _screen_slack(at: _Point) -> float | None:
     """Rounding cushion of the tangent screen at ``at``; None where it must not run.
 
     H is concave (A(q) shares its nonzero spectrum with Phi^T diag(q) Phi,
     linear in q), so H(c) <= H(q) + grad H(q).(c - q).  The computed H and
     gradient are exact up to rounding only with no eigenvalue of A(q) at the
-    SPECTRAL_FLOOR clamp and no weight at the weight floor.  An eigenvalue
+    SPECTRAL_FLOOR clamp and no weight at WEIGHT_FLOOR.  An eigenvalue
     comes out within a few eps and H moves by |log lam + 1| per unit of it:
     a computed entropy or slope is off by about n eps (1 + |log lam_min|), and
     the cushion allows four.  Dropping sub-floor eigenvalues only lowers H(c).
     """
     lam_min = float(at.eig[0][0])
-    if lam_min <= SPECTRAL_FLOOR or at.q.weights.min() <= weight_floor:
+    if lam_min <= SPECTRAL_FLOOR or at.q.weights.min() <= WEIGHT_FLOOR:
         return None
     return 4.0 * at.q.n * _EPS * (1.0 - math.log(lam_min))
 
@@ -229,12 +223,12 @@ def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
     accepted point's eigenpairs give the next gradient.  Returns that point
     (or None) and the next eta.
     """
-    grad_h = vne_gradient(k, at.q, weight_floor=cfg.weight_floor, eig=at.eig)
+    grad_h = vne_gradient(k, at.q, eig=at.eig)
     g = at.kd_grad - lam * grad_h
     bar = at.kd + lam * (rho - at.h) - margin
-    slack = _screen_slack(at, cfg.weight_floor)
+    slack = _screen_slack(at)
     for tries in range(_MAX_BACKTRACKS):
-        cand = _hold_floor(eg_step(at.q, g, eta), cfg.weight_floor)
+        cand = _hold_floor(eg_step(at.q, g, eta))
         kd, kd_grad = _kd_and_grad(k, cand, q0)
         tangent = None if slack is None else at.h + float(grad_h @ (cand.weights - at.q.weights))
         if tangent is None or kd + lam * (rho - (tangent + slack)) < bar:
@@ -261,8 +255,6 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
     while the violation stagnates (or immediately when rho exceeds log n,
     which no weighting can reach).
     """
-    if cfg.mode != "vne_constrained":
-        raise DataError(f"config mode is {cfg.mode!r}, expected 'vne_constrained'")
     if not math.isfinite(rho):
         raise BadArguments(f"rho must be finite, got {rho}")
     n = k.n
@@ -275,10 +267,10 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
 
     if at.h >= rho:
         return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
-                       "converged", 0, cfg.mode)
+                       "converged", 0, "vne_constrained")
     if rho > math.log(n) + 1e-12:
         return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
-                       "infeasible", 0, cfg.mode)
+                       "infeasible", 0, "vne_constrained")
 
     violations = [rho - at.h]
     status = "max_iters"
@@ -337,7 +329,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             break
 
     return _finish(k, at.q if best_q is None else best_q, q0, objective_trace,
-                   entropy_trace, dual_trace, status, iterations, cfg.mode)
+                   entropy_trace, dual_trace, status, iterations, "vne_constrained")
 
 
 def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -346,10 +338,7 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     Descent from q0 ensures the objective never increases, hence
     H(q*) >= H(q0) and KD(q*) <= lam * (H(q*) - H(q0)).
     """
-    if cfg.mode != "vne_penalized":
-        raise DataError(f"config mode is {cfg.mode!r}, expected 'vne_penalized'")
-    if lam < 0:
-        raise BadArguments(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     q0 = WeightVector.uniform(k.n)
     at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
     objective_trace = [at.kd - lam * at.h]
@@ -370,9 +359,9 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
         if (obj - new_obj) / max(abs(obj), 1e-300) <= cfg.tol and step_norm <= cfg.tol:
             status, iterations = "converged", t + 1
             break
-    g = at.kd_grad - lam * vne_gradient(k, at.q, weight_floor=cfg.weight_floor, eig=at.eig)
+    g = at.kd_grad - lam * vne_gradient(k, at.q, eig=at.eig)
     return _finish(k, at.q, q0, objective_trace, entropy_trace, [], status, iterations,
-                   cfg.mode, float(g @ at.q.weights - g.min()))
+                   "vne_penalized", float(g @ at.q.weights - g.min()))
 
 
 def _pivoted_cholesky(a: np.ndarray, tiny: float):
@@ -436,11 +425,7 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
     factorization finds dependent (f is flat along them) keep their weight
     until a full step zeroes it, and are retried after each drop.
     """
-    if cfg.mode != "rke_penalized":
-        raise DataError(f"config mode is {cfg.mode!r}, expected 'rke_penalized'")
-    if lam < 0:
-        raise BadArguments(f"lambda must be >= 0, got {lam}")
-
+    _check_lambda(lam)
     _, rep, group = np.unique(k.values, axis=0, return_index=True, return_inverse=True)
     group = group.ravel()
     size = np.bincount(group)
@@ -510,5 +495,5 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
         entropy_trace.append(-math.log(inv_rke))
         g = new_g
     return _finish(k, WeightVector(w[group] / size[group]), WeightVector.uniform(k.n),
-                   objective_trace, entropy_trace, [], status, iterations, cfg.mode,
+                   objective_trace, entropy_trace, [], status, iterations, "rke_penalized",
                    float(g @ w - g.min()))

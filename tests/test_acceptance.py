@@ -215,9 +215,9 @@ def test_criterion_06_gradient_check():
 def test_criterion_07a_identity_kernel_uniform_in_all_modes():
     n = 12
     k = gram_from_values(np.eye(n))
-    res_c = project_vne(k, math.log(n), ProjectionConfig(mode="vne_constrained"))
-    res_v = project_vendi_penalized(k, 0.5, ProjectionConfig(mode="vne_penalized"))
-    res_r = project_rke_penalized(k, 0.5, ProjectionConfig(mode="rke_penalized"))
+    res_c = project_vne(k, math.log(n), ProjectionConfig())
+    res_v = project_vendi_penalized(k, 0.5, ProjectionConfig())
+    res_r = project_rke_penalized(k, 0.5, ProjectionConfig())
     devs = [float(np.abs(r.q_star.weights - 1.0 / n).max()) for r in (res_c, res_v, res_r)]
     ok = all(d <= 1e-8 for d in devs)
     report("7a (K=I returns uniform, all modes)", ok,
@@ -232,7 +232,7 @@ def test_criterion_07b_two_cluster_grid_oracle():
 
     lam_v = 0.01
     res_v = project_vendi_penalized(
-        k, lam_v, ProjectionConfig(mode="vne_penalized", max_iters=20_000, tol=1e-10)
+        k, lam_v, ProjectionConfig(max_iters=20_000, tol=1e-10)
     )
     vals = [
         kd_fixed_support(k, block_weights(a, m1, m2), q0)
@@ -248,7 +248,7 @@ def test_criterion_07b_two_cluster_grid_oracle():
     lam_r = 0.5
     k2 = hadamard_square(k)
     res_r = project_rke_penalized(
-        k, lam_r, ProjectionConfig(mode="rke_penalized", max_iters=20_000, tol=1e-12)
+        k, lam_r, ProjectionConfig(max_iters=20_000, tol=1e-12)
     )
     vals = [
         kd_fixed_support(k, block_weights(a, m1, m2), q0)
@@ -280,7 +280,7 @@ def test_criterion_07c_projection_never_hurts_feasible_targets():
             continue
         checked += 1
         rho = h_0 + 0.7 * (h_p - h_0)
-        res = project_vne(k, rho, ProjectionConfig(mode="vne_constrained", max_iters=30_000))
+        res = project_vne(k, rho, ProjectionConfig(max_iters=30_000))
         if res.status != "converged":
             continue
         converged += 1
@@ -293,7 +293,7 @@ def test_criterion_07c_projection_never_hurts_feasible_targets():
 
 def test_criterion_08_projected_vendi_direction():
     k = cluster_gram([128, 64, 32, 16, 8, 4, 2, 1])
-    res = project_vendi_penalized(k, 0.01, ProjectionConfig(mode="vne_penalized"))
+    res = project_vendi_penalized(k, 0.01, ProjectionConfig())
     ok = (
         res.vendi_after > res.vendi_before
         and res.rke_after > res.rke_before

@@ -392,6 +392,23 @@ def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, found", [
+    ("project", json.dumps(PROJECT_OK)[:-1] + ', "eta": NaN}', "NaN"),
+    ("guide", json.dumps({**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [1, 2]]}})
+     .replace("[1, 2]", "[1, Infinity]"), "Infinity"),
+    ("bias", '{"alphabet_size": 4, "note": "\xff"}', "can't decode byte 0xff"),
+])
+def test_config_that_is_not_rfc_json_is_a_usage_error(tmp_path, capsys, command, text, found):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"divkit: usage error: config {path} is not valid JSON")
+    assert found in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bandwidth", [0, -1])
 def test_guide_non_positive_kernel_bandwidth_is_a_data_error(tmp_path, capsys, bandwidth):
     path = tmp_path / "guide.json"
@@ -429,10 +446,12 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert os.listdir(run_dir) == ["keep.txt"]
 
 
-@pytest.mark.parametrize("target", [0, -2.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("target", [0, -2.0, float("inf")])
 def test_non_positive_vendi_target_is_a_data_error_before_any_output(tmp_path, capsys, target):
     path = tmp_path / "project.json"
-    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target}))
+    # JSON has no Infinity (a NaN is a usage error, tested above); 1e999 parses to inf
+    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target})
+                    .replace("Infinity", "1e999"))
     out = tmp_path / "out"
     assert run_cli(["project", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()

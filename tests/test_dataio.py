@@ -252,6 +252,16 @@ def test_csv_load_peak_is_at_most_twice_the_array(tmp_path):
     assert traced_peak(lambda: load_embeddings(str(p))) <= 2.0 * x.data.nbytes
 
 
+def test_csv_write_streams_rows(tmp_path):
+    x = EmbeddingSet(np.random.default_rng(7).normal(size=(2000, 64)) * 10.0 ** np.arange(-32, 32))
+    p = tmp_path / "x.csv"
+    assert traced_peak(lambda: save_embeddings(x, str(p), "csv")) <= 0.25 * x.data.nbytes
+    # the text the writer produced when it joined every line first
+    lines = ["# " + ",".join(f"c{j}" for j in range(x.d))]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in x.data]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def gram_file(tmp_path, n=1024):
     """A GRAM container of an asymmetric matrix with entries outside [-1, 1]."""
     values = np.random.default_rng(5).uniform(-1.5, 1.5, size=(n, n))

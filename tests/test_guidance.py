@@ -398,9 +398,9 @@ def test_bank_all_finals_size_equals_completed_samples():
     spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
     sched = NoiseSchedule.cosine(40)
     cfg = GuidanceConfig.constant(0.01, 40, 10, KERNEL)
-    _, _, bank = _generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals", None)
+    _, _, bank = _generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals")
     assert len(bank) == 7
-    _, _, bank = _generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps", None)
+    _, _, bank = _generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps")
     assert len(bank) == 3 * len(range(0, 40, 10))
 
 

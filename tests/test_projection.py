@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ import divkit.projection
 from divkit.dataio import EmbeddingSet
 from divkit.discrepancy import kd_fixed_support
 from divkit.entropy import WeightVector, inverse_rke_weighted, vne_weighted
-from divkit.errors import BadArguments, DataError
+from divkit.errors import BadArguments
 from divkit.kernels import KernelSpec, gram, gram_from_values, hadamard_square
 from divkit.projection import (
-    PROJECTION_MODES,
     ProjectionConfig,
     _border,
     _drop,
@@ -82,7 +82,7 @@ def test_eg_step_overflow_guarded():
 def test_project_vne_identity_kernel_full_entropy_target():
     n = 8
     k = gram_from_values(np.eye(n))
-    cfg = ProjectionConfig(mode="vne_constrained")
+    cfg = ProjectionConfig()
     res = project_vne(k, rho=np.log(n), cfg=cfg)
     assert res.status == "converged"
     assert np.abs(res.q_star.weights - 1.0 / n).max() < 1e-8
@@ -91,7 +91,7 @@ def test_project_vne_identity_kernel_full_entropy_target():
 
 def test_project_vne_inactive_constraint_returns_uniform():
     k = two_block_gram(6, 6)
-    cfg = ProjectionConfig(mode="vne_constrained")
+    cfg = ProjectionConfig()
     h_uniform = vne_weighted(k, WeightVector.uniform(12))
     res = project_vne(k, rho=h_uniform * 0.5, cfg=cfg)
     assert res.status == "converged"
@@ -101,7 +101,7 @@ def test_project_vne_inactive_constraint_returns_uniform():
 
 def test_project_vne_infeasible_above_log_n():
     k = two_block_gram(4, 4)
-    cfg = ProjectionConfig(mode="vne_constrained")
+    cfg = ProjectionConfig()
     res = project_vne(k, rho=np.log(8) + 0.5, cfg=cfg)
     assert res.status == "infeasible"
 
@@ -110,7 +110,7 @@ def test_project_vne_two_block_grid_oracle():
     m1, m2 = 18, 2
     k = two_block_gram(m1, m2)
     rho = 0.95 * np.log(2.0)
-    cfg = ProjectionConfig(mode="vne_constrained", max_iters=20_000)
+    cfg = ProjectionConfig(max_iters=20_000)
     res = project_vne(k, rho, cfg)
     assert res.status == "converged"
     assert res.entropy_trace[-1] >= rho - cfg.tol
@@ -130,24 +130,19 @@ def test_project_vne_two_block_grid_oracle():
     assert np.abs(res.q_star.weights - oracle.weights).max() < 1e-3
 
 
-def test_project_vne_mode_mismatch():
-    with pytest.raises(DataError):
-        project_vne(two_block_gram(3, 3), 0.5, ProjectionConfig(mode="vne_penalized"))
-
-
 # -- penalized modes ---------------------------------------------------------------
 
 def test_vendi_penalized_identity_kernel_stays_uniform():
     n = 10
     k = gram_from_values(np.eye(n))
-    res = project_vendi_penalized(k, 0.5, ProjectionConfig(mode="vne_penalized"))
+    res = project_vendi_penalized(k, 0.5, ProjectionConfig())
     assert res.status == "converged"
     assert np.abs(res.q_star.weights - 1.0 / n).max() < 1e-8
 
 
 def test_vendi_penalized_tiny_lambda_stays_near_uniform():
     k = two_block_gram(8, 4)
-    res = project_vendi_penalized(k, 1e-9, ProjectionConfig(mode="vne_penalized"))
+    res = project_vendi_penalized(k, 1e-9, ProjectionConfig())
     assert np.abs(res.q_star.weights - 1.0 / 12).max() < 1e-6
 
 
@@ -155,7 +150,7 @@ def test_vendi_penalized_two_block_grid_oracle():
     m1, m2 = 18, 2
     k = two_block_gram(m1, m2)
     lam = 0.01
-    res = project_vendi_penalized(k, lam, ProjectionConfig(mode="vne_penalized", max_iters=20_000, tol=1e-10))
+    res = project_vendi_penalized(k, lam, ProjectionConfig(max_iters=20_000, tol=1e-10))
     assert res.status == "converged"
     q0 = WeightVector.uniform(m1 + m2)
 
@@ -173,7 +168,7 @@ def test_vendi_penalized_two_block_grid_oracle():
 
 def test_vendi_penalized_guarantees():
     k = two_block_gram(12, 3)
-    res = project_vendi_penalized(k, 0.05, ProjectionConfig(mode="vne_penalized"))
+    res = project_vendi_penalized(k, 0.05, ProjectionConfig())
     h0 = vne_weighted(k, WeightVector.uniform(15))
     assert vne_weighted(k, res.q_star) >= h0 - 1e-9
     diffs = np.diff(res.objective_trace)
@@ -182,14 +177,14 @@ def test_vendi_penalized_guarantees():
 
 def test_rke_penalized_lambda_zero_identity():
     k = two_block_gram(5, 5)
-    res = project_rke_penalized(k, 0.0, ProjectionConfig(mode="rke_penalized"))
+    res = project_rke_penalized(k, 0.0, ProjectionConfig())
     assert np.abs(res.q_star.weights - 0.1).max() < 1e-10
 
 
 def test_rke_penalized_identity_kernel_uniform():
     n = 7
     k = gram_from_values(np.eye(n))
-    res = project_rke_penalized(k, 3.0, ProjectionConfig(mode="rke_penalized"))
+    res = project_rke_penalized(k, 3.0, ProjectionConfig())
     assert np.abs(res.q_star.weights - 1.0 / n).max() < 1e-8
 
 
@@ -201,7 +196,7 @@ def test_rke_penalized_duplicate_pair_grid_oracle():
         [0.001, 0.001, 1.0],
     ]))
     lam = 1.0
-    res = project_rke_penalized(k, lam, ProjectionConfig(mode="rke_penalized", max_iters=20_000, tol=1e-12))
+    res = project_rke_penalized(k, lam, ProjectionConfig(max_iters=20_000, tol=1e-12))
     q = res.q_star.weights
     assert q[0] < q[2] and q[1] < q[2]
 
@@ -222,7 +217,7 @@ def test_rke_penalized_duplicate_pair_grid_oracle():
 
 def test_rke_penalized_rke_improves_on_imbalanced_gram():
     k = two_block_gram(16, 4)
-    res = project_rke_penalized(k, 0.5, ProjectionConfig(mode="rke_penalized"))
+    res = project_rke_penalized(k, 0.5, ProjectionConfig())
     assert res.rke_after > res.rke_before
     diffs = np.diff(res.objective_trace)
     assert (diffs <= 1e-12).all()
@@ -267,8 +262,8 @@ def test_convexity_probe_along_segments():
 def test_weights_remain_simplex_and_nonnegative():
     k, _ = random_cluster_gram(7)
     for res in (
-        project_vendi_penalized(k, 0.02, ProjectionConfig(mode="vne_penalized")),
-        project_rke_penalized(k, 0.5, ProjectionConfig(mode="rke_penalized")),
+        project_vendi_penalized(k, 0.02, ProjectionConfig()),
+        project_rke_penalized(k, 0.5, ProjectionConfig()),
     ):
         assert res.q_star.weights.min() >= 0.0
         assert res.q_star.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -294,7 +289,7 @@ def test_feasible_target_projection_direction():
         if h_p <= h_0 + 1e-6:
             continue
         rho = h_0 + 0.7 * (h_p - h_0)
-        cfg = ProjectionConfig(mode="vne_constrained", max_iters=30_000)
+        cfg = ProjectionConfig(max_iters=30_000)
         res = project_vne(k, rho, cfg)
         if res.status != "converged":
             continue
@@ -304,14 +299,28 @@ def test_feasible_target_projection_direction():
 
 
 def test_projection_config_validation():
-    with pytest.raises(DataError):
-        ProjectionConfig(mode="bogus")
     with pytest.raises(BadArguments):
-        ProjectionConfig(mode="vne_penalized", eta=0.0)
+        ProjectionConfig(eta=0.0)
     with pytest.raises(BadArguments):
         project_vendi_penalized(
-            gram_from_values(np.eye(3)), -0.1, ProjectionConfig(mode="vne_penalized")
+            gram_from_values(np.eye(3)), -0.1, ProjectionConfig()
         )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("knob", ["eta", "gamma", "tol"])
+def test_projection_config_rejects_non_finite_knobs(knob, value):
+    with pytest.raises(BadArguments, match="finite"):
+        ProjectionConfig(**{knob: value})
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [project_vendi_penalized, project_rke_penalized])
+def test_penalized_solvers_reject_non_finite_lambda_before_solving(monkeypatch, solve, lam):
+    for owner, name in ((np.linalg, "eigh"), (divkit.projection, "_pivoted_cholesky")):
+        monkeypatch.setattr(owner, name, mock.Mock(side_effect=AssertionError("solve started")))
+    with pytest.raises(BadArguments, match="lambda must be finite"):
+        solve(_cluster_gram(), lam, ProjectionConfig())
 
 
 def _cluster_gram_points(seed=4):
@@ -340,7 +349,7 @@ def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
                         (divkit.projection, "eg_step"), (divkit.projection, "_weighted_eigh")):
         _counting(monkeypatch, counts, owner, name)
     k = _cluster_gram()
-    cfg = ProjectionConfig(mode, max_iters=60)
+    cfg = ProjectionConfig(max_iters=60)
     solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
     res = solve(k, 0.05, cfg)
     assert len(res.entropy_trace) == len(res.objective_trace) == res.iterations + 1
@@ -377,18 +386,18 @@ def test_tangent_screen_changes_no_iterate(monkeypatch, mode, clamped):
         counts = {}
         _counting(monkeypatch, counts, divkit.projection, "_weighted_eigh")
         if mode == "vne_penalized":
-            res = project_vendi_penalized(k, 0.05, ProjectionConfig(mode, max_iters=150))
+            res = project_vendi_penalized(k, 0.05, ProjectionConfig(max_iters=150))
         else:
-            res = project_vne(k, rho, ProjectionConfig(mode, max_iters=150))
+            res = project_vne(k, rho, ProjectionConfig(max_iters=150))
         monkeypatch.undo()
         return res, counts["_weighted_eigh"]
 
     slacks = []
     real = divkit.projection._screen_slack
     monkeypatch.setattr(divkit.projection, "_screen_slack",
-                        lambda at, floor: slacks.append(real(at, floor)) or slacks[-1])
+                        lambda at: slacks.append(real(at)) or slacks[-1])
     screened, solves = solve()
-    monkeypatch.setattr(divkit.projection, "_screen_slack", lambda at, floor: None)
+    monkeypatch.setattr(divkit.projection, "_screen_slack", lambda at: None)
     plain, plain_solves = solve()
     assert np.array_equal(screened.q_star.weights, plain.q_star.weights)
     for field in ("objective_trace", "entropy_trace", "dual_trace", "status", "iterations"):
@@ -417,7 +426,7 @@ def _rke_objective(k, lam, w):
 @pytest.mark.parametrize("jitter", [None, 11])
 def test_rke_penalized_certified_on_benchmark_family(jitter):
     k = _benchmark_family_gram(jitter=jitter)
-    cfg = ProjectionConfig("rke_penalized")
+    cfg = ProjectionConfig()
     res = project_rke_penalized(k, 0.5, cfg)
     q = res.q_star.weights
     g = 2.0 * k.values @ (q - 1.0 / k.n) + 2.0 * 0.5 * hadamard_square(k).values @ q
@@ -430,7 +439,7 @@ def test_rke_penalized_certified_on_benchmark_family(jitter):
 def test_rke_penalized_exact_duplicates_share_weight():
     x = _cluster_gram_points()
     k = gram(EmbeddingSet(np.vstack([x, x[:4]])), KernelSpec("gaussian", 1.0))
-    res = project_rke_penalized(k, 0.5, ProjectionConfig("rke_penalized"))
+    res = project_rke_penalized(k, 0.5, ProjectionConfig())
     assert res.status == "converged" and res.gap <= 1e-8
     q = res.q_star.weights
     assert np.array_equal(q[:4], q[-4:])
@@ -440,7 +449,7 @@ def test_rke_penalized_lambda_zero_returns_uniform_at_once():
     # lambda = 0 and a singular K: q0 is already optimal
     x = np.random.default_rng(8).normal(size=(12, 2))
     k = gram(EmbeddingSet(x), KernelSpec("cosine"))
-    res = project_rke_penalized(k, 0.0, ProjectionConfig("rke_penalized"))
+    res = project_rke_penalized(k, 0.0, ProjectionConfig())
     assert res.status == "converged" and res.iterations == 0
     assert np.abs(res.q_star.weights - 1.0 / 12).max() < 1e-15
 
@@ -456,7 +465,7 @@ def test_rke_penalized_certificate_property(n, d, lam, bandwidth, seed):
 
 def _assert_rke_certified(k, lam, rng):
     """Converged, a non-increasing trace, and no Dirichlet point beats q* by more than its gap."""
-    cfg = ProjectionConfig("rke_penalized")
+    cfg = ProjectionConfig()
     res = project_rke_penalized(k, lam, cfg)
     q = res.q_star.weights
     assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -564,14 +573,14 @@ def test_border_and_drop_keep_the_inverse_factor(seed):
 def test_gap_is_none_for_vne_constrained():
     k = _cluster_gram()
     res = project_vne(k, vne_weighted(k, WeightVector.uniform(k.n)) + 0.05,
-                      ProjectionConfig("vne_constrained", max_iters=20))
+                      ProjectionConfig(max_iters=20))
     assert res.gap is None
 
 
-@pytest.mark.parametrize("mode", PROJECTION_MODES)
+@pytest.mark.parametrize("mode", ["vne_constrained", "vne_penalized", "rke_penalized"])
 def test_non_converged_solve_logs_a_warning(caplog, mode):
     k = _cluster_gram()
-    cfg = ProjectionConfig(mode, max_iters=3)
+    cfg = ProjectionConfig(max_iters=3)
     with caplog.at_level(logging.WARNING, logger="divkit"):
         if mode == "vne_constrained":
             res = project_vne(k, 0.999 * np.log(k.n), cfg)
@@ -587,6 +596,6 @@ def test_non_converged_solve_logs_a_warning(caplog, mode):
 def test_converged_solve_logs_nothing(caplog):
     with caplog.at_level(logging.WARNING, logger="divkit"):
         res = project_vendi_penalized(gram_from_values(np.eye(6)), 0.5,
-                                      ProjectionConfig("vne_penalized"))
+                                      ProjectionConfig())
     assert res.status == "converged"
     assert not [r for r in caplog.records if r.name == "divkit"]
