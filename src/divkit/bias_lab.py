@@ -46,10 +46,6 @@ class DiscreteLawSpec:
         if self.alphabet_size < 2:
             raise BadArguments(f"alphabet size must be >= 2, got {self.alphabet_size}")
 
-    @property
-    def entropy(self) -> float:
-        return math.log(self.alphabet_size)
-
 
 @dataclass(frozen=True)
 class CubeMixtureSpec:

@@ -129,14 +129,36 @@ def _typed(kind: type, what: str):
 
 _object, _text = _typed(dict, "a JSON object"), _typed(str, "a string")
 _boolean = _typed(bool, "true or false")
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
+def _integer(value) -> int:
+    """A JSON integer: no bool, no string, no fraction or exponent."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A finite JSON number (no bool, no string) as a float."""
+    finite = isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
 
 
 def _ints(value) -> list[int]:
-    return [int(v) for v in _typed(list, "a list of integers")(value)]
+    return [_integer(v) for v in _typed(list, "a list of integers")(value)]
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """A finite JSON number, or nested lists of them, as a float array."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
 def _points(value) -> np.ndarray:
@@ -150,7 +172,7 @@ def _kernel(doc) -> KernelSpec:
     if not isinstance(doc, dict) or "family" not in doc:
         raise TypeError("expected an object with a 'family' field")
     try:
-        return KernelSpec.from_payload(doc)
+        return KernelSpec(doc["family"], _optional(_number)(doc.get("bandwidth")))
     except DivkitError as exc:
         raise ValueError(str(exc)) from exc
 
@@ -200,8 +222,8 @@ def _prepare_curve(c: dict):
     if _choose(c, "source.type", ("file", "cube_mixture")) == "file":
         path = _read(c, "source.path", _text)
     else:
-        spec = bias_lab.CubeMixtureSpec(_read(c, "source.dimension", int),
-                                        _read(c, "source.component_std", float, 1e-4))
+        spec = bias_lab.CubeMixtureSpec(_read(c, "source.dimension", _integer),
+                                        _read(c, "source.component_std", _number, 1e-4))
     kernel = KernelSpec.from_payload(c["kernel"])
 
     def run(out_dir: str, jobs: int) -> dict:
@@ -229,11 +251,11 @@ def _prepare_project(c: dict):
     path = _read(c, "gram.path", _text)
     kernel = _read(c, "gram.kernel", _kernel) if from_embeddings else None
     mode = _choose(c, "mode", _SOLVERS)
-    rho, lam, vendi_target = (_read(c, key, lambda v: None if v is None else float(v))
+    rho, lam, vendi_target = (_read(c, key, _optional(_number))
                               for key in ("rho", "lambda", "vendi_target"))
     if mode == "vne_constrained":
         if rho is None and vendi_target is not None:
-            if not (np.isfinite(vendi_target) and vendi_target > 0):
+            if vendi_target <= 0:
                 raise DataError(f"'vendi_target' must be positive and finite, got {vendi_target}")
             rho = float(np.log(vendi_target))
         if rho is None:
@@ -263,7 +285,7 @@ def _prepare_project(c: dict):
 _BASE_WEIGHTS = {
     "uniform": lambda c, m: np.full(m, 1.0 / m),
     "geometric": lambda c, m: guidance.geometric_weights(
-        m, _read(c, "base_weights.ratio", float, 0.6)),
+        m, _read(c, "base_weights.ratio", _number, 0.6)),
     "explicit": lambda c, m: _read(c, "base_weights.values", _floats),
 }
 
@@ -272,25 +294,25 @@ def _prepare_guide(c: dict):
     std = c["component_std"]
     layout = _choose(c, "layout.type", ("grid", "circle", "explicit"))
     if layout == "grid":
-        rows, cols = _read(c, "layout.rows", int), _read(c, "layout.cols", int)
-        spacing = _read(c, "layout.spacing", float)
+        rows, cols = _read(c, "layout.rows", _integer), _read(c, "layout.cols", _integer)
+        spacing = _read(c, "layout.spacing", _number)
         spec, default_bw = guidance.MixtureSpec2D.grid(rows, cols, spacing, std), spacing / 2.0
     elif layout == "circle":
-        n_modes, radius = _read(c, "layout.n_modes", int), _read(c, "layout.radius", float)
+        n_modes, radius = _read(c, "layout.n_modes", _integer), _read(c, "layout.radius", _number)
         spec = guidance.MixtureSpec2D.circle(n_modes, radius, std)
         default_bw = radius * 2.0 * np.sin(np.pi / n_modes) / 2.0  # nearest-neighbor spacing
     else:
         centers = _read(c, "layout.centers", _points)
         weights = _read(c, "layout.weights", _floats, np.full(len(centers), 1.0 / len(centers)))
         spec = guidance.MixtureSpec2D(centers, weights, std)
-        default_bw = _read(c, "layout.bandwidth_hint", float, 1.0)
+        default_bw = _read(c, "layout.bandwidth_hint", _number, 1.0)
     base_weights = _BASE_WEIGHTS[_choose(c, "base_weights.type", _BASE_WEIGHTS)](c, spec.n_modes)
     base = spec.with_weights(base_weights)  # checks the base weights against the layout
-    steps = _read(c, "schedule.steps", int, 200)
+    steps = _read(c, "schedule.steps", _integer, 200)
     # schedule kinds and eta schedules are named after their constructors
     kind = _choose(c, "schedule.kind", ("linear_beta", "cosine"), "linear_beta")
     sched = getattr(guidance.NoiseSchedule, kind)(steps)
-    bw = _read(c, "kernel_bandwidth", lambda v: default_bw if v is None else float(v))
+    bw = _read(c, "kernel_bandwidth", lambda v: default_bw if v is None else _number(v))
     eta_kind = _choose(c, "eta_schedule", ("constant", "linear_decay"))
     gcfg = getattr(guidance.GuidanceConfig, eta_kind)(c["eta"], steps, c["apply_every"],
                                                       KernelSpec("gaussian", bw))
@@ -341,33 +363,34 @@ class RunCommand(NamedTuple):
 
 
 _KERNEL = ("kernel", lambda doc: _kernel(doc).to_payload(), _REQUIRED)
-_SEED = (("seed", int, 0), ("stream_id", int, 0))
+_SEED = (("seed", _integer, 0), ("stream_id", _integer, 0))
 
 COMMANDS = {
     "curve": RunCommand("curve", "Vendi score vs sample size from a file or cube mixture", (
         ("source", _object, _REQUIRED), _KERNEL, ("sizes", _ints, [64 * 2**k for k in range(7)]),
-        ("trials", int, 10), ("size_cap", int, DEFAULT_SIZE_CAP), *_SEED,
+        ("trials", _integer, 10), ("size_cap", _integer, DEFAULT_SIZE_CAP), *_SEED,
     ), _prepare_curve),
     "bias": RunCommand("bias", "plug-in entropy bias curve for a uniform discrete law", (
-        ("alphabet_size", int, 1024), ("sizes", _ints, default_bias_grid()),
-        ("trials", int, 10), *_SEED,
+        ("alphabet_size", _integer, 1024), ("sizes", _ints, default_bias_grid()),
+        ("trials", _integer, 10), *_SEED,
     ), _prepare_bias),
     "project": RunCommand("projection", "entropy projection of weights on a fixed support", (
         ("gram", _object, _REQUIRED), ("mode", _raw, "vne_penalized"),
         ("rho", _raw, None), ("lambda", _raw, None), ("vendi_target", _raw, None),
-        ("eta", float, 0.1), ("gamma", float, 1.0), ("max_iters", int, 5000), ("tol", float, 1e-8),
+        ("eta", _number, 0.1), ("gamma", _number, 1.0), ("max_iters", _integer, 5000),
+        ("tol", _number, 1e-8),
     ), _prepare_project),
     "guide": RunCommand("guidance", "guided vs unguided reverse diffusion on a 2D mixture", (
-        ("layout", _object, _REQUIRED), ("component_std", float, 0.1),
-        ("base_weights", _object, {"type": "uniform"}), ("n_samples", int, 1000),
+        ("layout", _object, _REQUIRED), ("component_std", _number, 0.1),
+        ("base_weights", _object, {"type": "uniform"}), ("n_samples", _integer, 1000),
         ("schedule", _object, {"kind": "linear_beta", "steps": 200}),
-        ("eta", float, 0.03), ("eta_schedule", _raw, "constant"), ("apply_every", int, 10),
+        ("eta", _number, 0.03), ("eta_schedule", _raw, "constant"), ("apply_every", _integer, 10),
         ("kernel_bandwidth", _raw, None), ("bank_policy", _raw, "all_finals"),
-        ("stochastic", _boolean, True), ("dump_trajectories", int, 0), *_SEED,
+        ("stochastic", _boolean, True), ("dump_trajectories", _integer, 0), *_SEED,
     ), _prepare_guide),
     "concentration": RunCommand("concentration", "log-Vendi concentration check", (
-        ("dimension", int, 8), ("component_std", float, 1e-4), _KERNEL,
-        ("m", int, 500), ("trials", int, 100), ("delta", float, 0.01), *_SEED,
+        ("dimension", _integer, 8), ("component_std", _number, 1e-4), _KERNEL,
+        ("m", _integer, 500), ("trials", _integer, 100), ("delta", _number, 0.01), *_SEED,
     ), _prepare_concentration),
 }
 

@@ -324,11 +324,8 @@ BANK_POLICIES = ("all_finals", "every_k_steps")
 
 
 class MemoryBank:
-    """FIFO store of previously generated latents.
-
-    A preallocated (capacity, 2) ring: ``add`` is O(1), and once the bank is
-    full each new entry overwrites the oldest one.
-    """
+    """Append-only store of previously generated latents in a preallocated
+    (capacity, 2) array; adding to a full bank is a ``DataError``."""
 
     def __init__(self, capacity: int, policy: str = "all_finals"):
         if capacity < 1:
@@ -337,9 +334,8 @@ class MemoryBank:
             raise DataError(f"unknown bank policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self._ring = np.empty((capacity, 2))
+        self._store = np.empty((capacity, 2))
         self._count = 0
-        self._head = 0  # slot of the oldest entry once the ring is full
 
     def __len__(self) -> int:
         return self._count
@@ -352,20 +348,16 @@ class MemoryBank:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (2,) or not np.isfinite(z).all():
             raise DataError("bank entries must be finite 2-vectors")
-        if self._count < self.capacity:
-            self._ring[self._count] = z
-            self._count += 1
-        else:
-            self._ring[self._head] = z
-            self._head = (self._head + 1) % self.capacity
+        if self._count == self.capacity:
+            raise DataError(f"memory bank is full at {self.capacity} entries")
+        self._store[self._count] = z
+        self._count += 1
 
     def as_array(self) -> np.ndarray:
-        """The entries, oldest first, as a read-only view or a copy."""
+        """The entries, oldest first, as a read-only view."""
         if self._count == 0:
             raise EmptyBank("memory bank has no entries")
-        if self._head:
-            return np.concatenate((self._ring[self._head:], self._ring[:self._head]))
-        entries = self._ring[:self._count]
+        entries = self._store[:self._count]
         entries.flags.writeable = False
         return entries
 

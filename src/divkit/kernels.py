@@ -45,6 +45,8 @@ class KernelSpec:
         if self.family == "gaussian":
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise NonPositiveBandwidth(f"gaussian bandwidth must be > 0, got {self.bandwidth}")
+            if not np.isfinite(self.bandwidth):
+                raise NonPositiveBandwidth(f"gaussian bandwidth must be finite, got {self.bandwidth}")
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         elif self.bandwidth is not None:
             raise DataError("cosine kernel takes no bandwidth")

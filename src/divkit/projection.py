@@ -28,12 +28,11 @@ from .entropy import (
     WEIGHT_FLOOR,
     WeightVector,
     _weighted_eigh,
-    inverse_rke_weighted,
     vne_gradient,
     vne_weighted,
 )
 from .errors import BadArguments, DataError
-from .kernels import GramMatrix, hadamard_square
+from .kernels import GramMatrix
 
 _MAX_BACKTRACKS = 50
 _LAMBDA_CEILING = 1e6
@@ -74,6 +73,9 @@ class ProjectionResult:
     the order-2 entropy log(1 / q^T Ktilde q) for rke_penalized (keeping that
     mode free of eigendecompositions).  ``gap`` (not in the payload) is the
     penalized modes' Frank-Wolfe gap g.q* - min_i g_i; None for vne_constrained.
+    The summaries at q0 and q* are the solver's own: the VNE modes read H and
+    q^T Ktilde q = sum(lam^2) off their eigenvalues, rke_penalized its gradient's
+    q^T Ktilde q, and solves H once at each.
     """
 
     q_star: WeightVector
@@ -142,7 +144,8 @@ def eg_step(q: WeightVector, g: np.ndarray, eta: float) -> WeightVector:
 def _finish(
     k: GramMatrix,
     q_star: WeightVector,
-    q0: WeightVector,
+    before: tuple,
+    after: tuple,
     objective_trace: list,
     entropy_trace: list,
     dual_trace: list,
@@ -151,12 +154,11 @@ def _finish(
     mode: str,
     gap: float | None = None,
 ) -> ProjectionResult:
+    """``before`` and ``after`` are the solver's own (H, q^T Ktilde q) at q0 and q_star."""
     if status != "converged":
         _LOG.warning("%s projection stopped with status %s after %d iterations",
                      mode, status, iterations)
-    k2 = hadamard_square(k)
-    h0 = vne_weighted(k, q0)
-    h_star = vne_weighted(k, q_star)
+    (h0, inv_rke0), (h_star, inv_rke_star) = before, after
     return ProjectionResult(
         q_star=q_star,
         objective_trace=tuple(objective_trace),
@@ -165,11 +167,11 @@ def _finish(
         status=status,
         iterations=iterations,
         mode=mode,
-        kd_to_uniform=kd_fixed_support(k, q_star, q0),
+        kd_to_uniform=kd_fixed_support(k, q_star, WeightVector.uniform(k.n)),
         vendi_before=math.exp(h0),
         vendi_after=math.exp(h_star),
-        rke_before=1.0 / inverse_rke_weighted(k2, q0),
-        rke_after=1.0 / inverse_rke_weighted(k2, q_star),
+        rke_before=1.0 / inv_rke0,
+        rke_after=1.0 / inv_rke_star,
         gap=gap,
     )
 
@@ -187,13 +189,18 @@ def _kd_and_grad(k: GramMatrix, q: WeightVector, q0: WeightVector):
 
 @dataclass(frozen=True)
 class _Point:
-    """A VNE iterate: KD to q0 and its gradient, H(q), and the eigenpairs of A(q)."""
+    """A VNE iterate: KD to q0 and its gradient, H(q), and the eigenpairs of A(q).
+    ``summary`` is H(q) and q^T Ktilde q = ||A(q)||_F^2, the sum of the squared eigenvalues."""
 
     q: WeightVector
     kd: float
     kd_grad: np.ndarray
     h: float
     eig: tuple
+
+    @property
+    def summary(self) -> tuple:
+        return self.h, float(self.eig[0] @ self.eig[0])
 
 
 def _screen_slack(at: _Point) -> float | None:
@@ -260,22 +267,20 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
     n = k.n
     q0 = WeightVector.uniform(n)
     at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    before = at.summary
     objective_trace = [at.kd]
     entropy_trace = [at.h]
     lam = 0.0
     dual_trace = [lam]
 
-    if at.h >= rho:
-        return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
-                       "converged", 0, "vne_constrained")
-    if rho > math.log(n) + 1e-12:
-        return _finish(k, q0, q0, objective_trace, entropy_trace, dual_trace,
-                       "infeasible", 0, "vne_constrained")
+    if at.h >= rho or rho > math.log(n) + 1e-12:
+        return _finish(k, q0, before, before, objective_trace, entropy_trace, dual_trace,
+                       "converged" if at.h >= rho else "infeasible", 0, "vne_constrained")
 
     violations = [rho - at.h]
     status = "max_iters"
     iterations = cfg.max_iters
-    best_q, best_kd, since_improved = None, np.inf, 0
+    best, best_kd, since_improved = None, np.inf, 0
     eta_run = cfg.eta
     gamma_run = cfg.gamma
     infeasible_streak = 0
@@ -307,7 +312,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             infeasible_streak = 0
 
         if violation <= cfg.tol and at.kd < best_kd - 1e-12 * max(1.0, abs(best_kd)):
-            best_q, best_kd, since_improved = at.q, at.kd, 0
+            best, best_kd, since_improved = at, at.kd, 0
         else:
             since_improved += 1
 
@@ -315,7 +320,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             status = "converged"
             iterations = t + 1
             break
-        if best_q is not None and since_improved >= _STAGNATION_WINDOW:
+        if best is not None and since_improved >= _STAGNATION_WINDOW:
             status = "converged"
             iterations = t + 1
             break
@@ -328,8 +333,9 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             iterations = t + 1
             break
 
-    return _finish(k, at.q if best_q is None else best_q, q0, objective_trace,
-                   entropy_trace, dual_trace, status, iterations, "vne_constrained")
+    best = best or at
+    return _finish(k, best.q, before, best.summary, objective_trace, entropy_trace, dual_trace,
+                   status, iterations, "vne_constrained")
 
 
 def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -341,6 +347,7 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     _check_lambda(lam)
     q0 = WeightVector.uniform(k.n)
     at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    before = at.summary
     objective_trace = [at.kd - lam * at.h]
     entropy_trace = [at.h]
     status, iterations = "max_iters", cfg.max_iters
@@ -360,8 +367,8 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
             status, iterations = "converged", t + 1
             break
     g = at.kd_grad - lam * vne_gradient(k, at.q, eig=at.eig)
-    return _finish(k, at.q, q0, objective_trace, entropy_trace, [], status, iterations,
-                   "vne_penalized", float(g @ at.q.weights - g.min()))
+    return _finish(k, at.q, before, at.summary, objective_trace, entropy_trace, [], status,
+                   iterations, "vne_penalized", float(g @ at.q.weights - g.min()))
 
 
 def _pivoted_cholesky(a: np.ndarray, tiny: float):
@@ -450,6 +457,7 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
         return 2.0 * (kk @ (w - w0) + lam * k2w), float(w @ k2w)
 
     g, inv_rke = gradient(w)
+    inv_rke0 = inv_rke
     objective_trace = [lam * inv_rke]
     entropy_trace = [-math.log(inv_rke)]
     status, iterations = "max_iters", cfg.max_iters
@@ -494,6 +502,7 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
         objective_trace.append(objective_trace[-1] + min(0.0, float(step @ (g + new_g)) / 2.0))
         entropy_trace.append(-math.log(inv_rke))
         g = new_g
-    return _finish(k, WeightVector(w[group] / size[group]), WeightVector.uniform(k.n),
-                   objective_trace, entropy_trace, [], status, iterations, "rke_penalized",
-                   float(g @ w - g.min()))
+    q_star = WeightVector(w[group] / size[group])
+    return _finish(k, q_star, (vne_weighted(k, WeightVector.uniform(k.n)), inv_rke0),
+                   (vne_weighted(k, q_star), inv_rke), objective_trace, entropy_trace, [], status,
+                   iterations, "rke_penalized", float(g @ w - g.min()))

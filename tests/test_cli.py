@@ -380,10 +380,41 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("guide", {**GUIDE_OK, "stochastic": "false"}, "stochastic"),
     ("concentration", {**CONC_OK, "m": "x"}, "m"),
     ("concentration", {"m": 8}, "kernel"),
+    # strict numbers: an integer key takes a JSON integer, a float key a finite JSON
+    # number, and neither takes a bool or a string
+    ("bias", {"trials": 2.7}, "trials"),
+    ("bias", {"trials": "2"}, "trials"),
+    ("bias", {"trials": 2.0}, "trials"),
+    ("bias", {"alphabet_size": 1e300}, "alphabet_size"),
+    ("bias", {"seed": True}, "seed"),
+    ("bias", {"sizes": [16.9, 32]}, "sizes"),
+    ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": True}}, "kernel"),
+    ("curve", {**CURVE_OK, "source": {"type": "cube_mixture", "dimension": True}},
+     "source.dimension"),
+    ("project", {**PROJECT_OK, "lambda": True}, "lambda"),
+    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": "1.5"}, "rho"),
+    ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "kernel": {"family": "gaussian",
+                                                                         "bandwidth": "1"}}},
+     "gram.kernel"),
+    ("project", {**PROJECT_OK, "tol": False}, "tol"),
+    ("guide", {**GUIDE_OK, "kernel_bandwidth": True}, "kernel_bandwidth"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [1, "2"]]}},
+     "layout.centers"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [1, 2]],
+                                      "weights": [0.5, True]}}, "layout.weights"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": True}},
+     "layout.spacing"),
+    # JSON has no Infinity: each float("inf") below is written as 1e999, which parses to inf
+    ("bias", {"trials": float("inf")}, "trials"),
+    ("concentration", {**CONC_OK, "delta": float("inf")}, "delta"),
+    ("guide", {**GUIDE_OK, "component_std": float("inf")}, "component_std"),
+    ("project", {**PROJECT_OK, "mode": "vne_constrained", "vendi_target": float("inf")},
+     "vendi_target"),
+    ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": float("inf")}}, "kernel"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg).replace("Infinity", "1e999"))
     out = tmp_path / "out"
     assert run_cli([command, "--config", path, "--out", out]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -446,12 +477,10 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert os.listdir(run_dir) == ["keep.txt"]
 
 
-@pytest.mark.parametrize("target", [0, -2.0, float("inf")])
+@pytest.mark.parametrize("target", [0, -2.0])
 def test_non_positive_vendi_target_is_a_data_error_before_any_output(tmp_path, capsys, target):
     path = tmp_path / "project.json"
-    # JSON has no Infinity (a NaN is a usage error, tested above); 1e999 parses to inf
-    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target})
-                    .replace("Infinity", "1e999"))
+    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target}))
     out = tmp_path / "out"
     assert run_cli(["project", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -535,11 +564,11 @@ GOLDEN = {
     "concentration": ("concentration-7c686229cf3c",
                         "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
     "vne_constrained": ("project-fff50837f742",
-                          "2433142695e94fb6bf13306414f53a1cf44616e750adbd4ddb31605748e69ddc"),
+                          "5eab62bd2e57d6703d0aff04a47984e23f92c7a8393bb207247924d84dd58198"),
     "vne_penalized": ("project-937cde0fe4ce",
-                        "371798b1350cfe188e7f069b8b8e10d6a21df489c2eabe30ef0963075a2abacd"),
+                        "2c5fbb67e3636a767f630dc2138448c17d2178152d6864e2c45227741b3f5087"),
     "rke_penalized": ("project-8b87ffe02926",
-                        "d21a8fc2c75b329493fa925191796213ea96936f0c62b908e39e9cb36a71045b"),
+                        "5ac7c6741aaae26fea7fad4f0014d91285af91bceebdd814e3a5d5db6a05da28"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",

@@ -208,26 +208,20 @@ def test_one_noise_draw_equals_per_step_draws(seed, index, steps):
 
 # -- memory bank, objective, guidance -------------------------------------------------
 
-def test_bank_capacity_fifo():
+def test_full_bank_refuses_an_entry():
     bank = MemoryBank(capacity=3)
-    for i in range(5):
-        bank.add(np.array([float(i), 0.0]))
+    for i in range(3):
+        bank.add(np.array([float(i), -float(i)]))
+    with pytest.raises(DataError, match="full at 3 entries"):
+        bank.add(np.array([3.0, -3.0]))
+    # the bank is unchanged, lists its entries oldest first, and the returned
+    # array cannot write into the bank
     arr = bank.as_array()
     assert len(bank) == 3
-    assert arr[:, 0].tolist() == [2.0, 3.0, 4.0]
-    # wrap the ring three times over; every state lists the newest three
-    # entries oldest first, and the returned array cannot write into the bank
-    for i in range(5, 12):
-        bank.add(np.array([float(i), -float(i)]))
-        expected = [float(k) for k in range(i - 2, i + 1)]
-        arr = bank.as_array()
-        assert len(bank) == 3
-        assert arr[:, 0].tolist() == expected
-        try:
-            arr[:] = 99.0
-        except ValueError:
-            pass
-        assert bank.as_array()[:, 0].tolist() == expected
+    assert arr.tolist() == [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]]
+    with pytest.raises(ValueError):
+        arr[:] = 99.0
+    assert bank.as_array()[:, 0].tolist() == [0.0, 1.0, 2.0]
 
 
 def test_bank_partial_fill_and_validation():

@@ -44,6 +44,9 @@ def test_gaussian_kernel_bad_bandwidth():
         gaussian_kernel([0.0], [1.0], 0.0)
     with pytest.raises(NonPositiveBandwidth):
         KernelSpec("gaussian", -1.0)
+    for bandwidth in (np.inf, np.nan):
+        with pytest.raises(NonPositiveBandwidth, match=str(bandwidth)):
+            KernelSpec("gaussian", bandwidth)
 
 
 def test_gaussian_monotone_and_translation_invariant():

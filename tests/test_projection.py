@@ -1,4 +1,5 @@
 import logging
+import math
 from unittest import mock
 
 import numpy as np
@@ -342,31 +343,69 @@ def _counting(monkeypatch, counts, owner, name):
     monkeypatch.setattr(owner, name, wrapped)
 
 
-@pytest.mark.parametrize("mode", ["vne_penalized", "rke_penalized"])
+def _solve(mode, k, rho, cfg):
+    """vne_constrained to the entropy target ``rho``; the penalized modes at lambda 0.05."""
+    if mode == "vne_constrained":
+        return project_vne(k, rho, cfg)
+    solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
+    return solve(k, 0.05, cfg)
+
+
+@pytest.mark.parametrize("mode", ["vne_penalized", "vne_constrained", "rke_penalized"])
 def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
+    k = _cluster_gram()
+    rho = vne_weighted(k, WeightVector.uniform(k.n)) + 0.05
     counts = {}
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                         (divkit.projection, "eg_step"), (divkit.projection, "_weighted_eigh")):
         _counting(monkeypatch, counts, owner, name)
-    k = _cluster_gram()
+    for owner in (divkit.kernels, divkit.projection):
+        if hasattr(owner, "hadamard_square"):
+            _counting(monkeypatch, counts, owner, "hadamard_square")
     cfg = ProjectionConfig(max_iters=60)
-    solve = project_vendi_penalized if mode == "vne_penalized" else project_rke_penalized
-    res = solve(k, 0.05, cfg)
+    res = _solve(mode, k, rho, cfg)
     assert len(res.entropy_trace) == len(res.objective_trace) == res.iterations + 1
-    # the vendi_before/after summaries are the only eigvalsh calls
-    assert counts.get("eigvalsh", 0) == 2
-    if mode == "vne_penalized":
+    # the summaries reuse the solver's own evaluations: no Hadamard square, and
+    # rke_penalized's two Vendi summaries are the only eigvalsh calls
+    assert counts.get("hadamard_square", 0) == 0
+    assert counts.get("eigvalsh", 0) == (2 if mode == "rke_penalized" else 0)
+    if mode != "rke_penalized":
         # q0 and each candidate that survives the tangent screen are one eigh
         # each, and the gradients reuse those eigenpairs
         survivors = counts["_weighted_eigh"] - 1
         assert counts["eigh"] == 1 + survivors
-        assert res.iterations <= survivors < counts["eg_step"]
+        assert survivors < counts["eg_step"]
+        if mode == "vne_penalized":
+            assert res.iterations <= survivors
     else:
         # no eigensolve inside the active-set loop; the support changed and
         # the stop is certified by the Frank-Wolfe gap
         assert counts.get("eigh", 0) == 0
         assert res.iterations >= 1 and (res.q_star.weights == 0.0).any()
         assert res.status == "converged" and res.gap <= cfg.tol
+
+
+@pytest.mark.parametrize("mode", ["vne_penalized", "vne_constrained", "rke_penalized"])
+def test_summaries_are_the_solvers_own_evaluations(mode):
+    k = _cluster_gram()
+    rho = vne_weighted(k, WeightVector.uniform(k.n)) + 0.05
+    cfg = ProjectionConfig(max_iters=60)
+    res = _solve(mode, k, rho, cfg)
+    first, last = math.exp(res.entropy_trace[0]), math.exp(res.entropy_trace[-1])
+    if mode == "rke_penalized":
+        # the trace holds log(1 / q^T Ktilde q): exp of it rounds once more
+        assert res.rke_before == pytest.approx(first, rel=1e-15, abs=0.0)
+        assert res.rke_after == pytest.approx(last, rel=1e-15, abs=0.0)
+    else:
+        assert res.vendi_before == first
+        if mode == "vne_penalized":  # vne_constrained may return an earlier incumbent
+            assert res.vendi_after == last
+    # the summaries agree with fresh solves of the same weights
+    k2 = hadamard_square(k)
+    for q, vendi, rke in ((WeightVector.uniform(k.n), res.vendi_before, res.rke_before),
+                          (res.q_star, res.vendi_after, res.rke_after)):
+        assert vendi == pytest.approx(np.exp(vne_weighted(k, q)), rel=1e-13)
+        assert rke == pytest.approx(1.0 / inverse_rke_weighted(k2, q), rel=1e-13)
 
 
 def _clamped_gram():
