@@ -37,7 +37,6 @@ from .dataio import (
     canonical_json,
     config_hash,
     load_embeddings,
-    load_record,
     save_embeddings,
     save_record,
     subsample,
@@ -47,7 +46,6 @@ from .entropy import (
     DiversityScore,
     SpectrumReport,
     WeightVector,
-    inverse_rke_weighted,
     rke,
     score_gram,
     vendi,
@@ -64,9 +62,6 @@ from .guidance import (
     NoiseSchedule,
     guided_step,
     irke_gradient,
-    irke_objective,
-    noised_mixture_score,
-    reverse_step,
     run_guided_sampling,
     sample_mixture,
 )
@@ -74,14 +69,10 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     SelfBlock,
-    cosine_kernel,
     cross,
-    gaussian_kernel,
     gram,
-    hadamard_square,
     load_gram,
     paired,
-    save_gram,
 )
 from .projection import (
     ProjectionConfig,

@@ -61,8 +61,8 @@ class CubeMixtureSpec:
     def __post_init__(self):
         if not 1 <= self.dimension <= 24:
             raise DimensionTooLarge(f"dimension must be in [1, 24], got {self.dimension}")
-        if self.component_std < 0:
-            raise BadArguments("component_std must be >= 0")
+        if not 0 <= self.component_std < math.inf:
+            raise BadArguments(f"component_std must be finite and >= 0, got {self.component_std}")
 
     @property
     def component_count(self) -> int:
@@ -161,17 +161,6 @@ class DiversityCurve:
             "trials": self.trials,
             "metric": self.metric,
         }
-
-    @staticmethod
-    def from_payload(doc: dict) -> "DiversityCurve":
-        return DiversityCurve(
-            tuple(doc["sizes"]),
-            tuple(doc["mean"]),
-            tuple(doc["ci_low"]),
-            tuple(doc["ci_high"]),
-            int(doc["trials"]),
-            doc["metric"],
-        )
 
 
 def curve_to_plot_text(curve: DiversityCurve) -> str:

@@ -371,20 +371,6 @@ def save_record(record: ResultRecord, path: str) -> None:
     write_text(path, canonical_json(doc) + "\n")
 
 
-def load_record(path: str) -> ResultRecord:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
-    for key in ("kind", "payload", "config_hash", "timestamp"):
-        if key not in doc:
-            raise MalformedFile(f"{path}: missing field {key!r}")
-    return ResultRecord(doc["kind"], doc["payload"], doc["config_hash"], doc["timestamp"])
-
-
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits (exact double round-trip)."""
     if not math.isfinite(value):

@@ -54,14 +54,13 @@ def kd_fixed_support(k: GramMatrix, q: WeightVector, q0: WeightVector) -> float:
     return max(val, 0.0)
 
 
-def _self_sums(x: EmbeddingSet, spec: KernelSpec, k: SelfBlock | GramMatrix | None) -> tuple:
+def _self_sums(x: EmbeddingSet, spec: KernelSpec, k: SelfBlock | None) -> tuple:
     if k is None:
         block = cross(x.data, x.data, spec)
         return block.sum(), np.trace(block)
-    k = SelfBlock.of(k) if isinstance(k, GramMatrix) else k
     if k.n != x.n or k.spec != spec:
         raise DataError(
-            f"prebuilt Gram ({k.n} rows, {k.spec}) does not match {x.n} rows under {spec}"
+            f"self block ({k.n} rows, {k.spec}) does not match {x.n} rows under {spec}"
         )
     return k.sum, k.trace
 
@@ -70,8 +69,8 @@ def mmd2(
     x: EmbeddingSet,
     y: EmbeddingSet,
     spec: KernelSpec,
-    kxx: SelfBlock | GramMatrix | None = None,
-    kyy: SelfBlock | GramMatrix | None = None,
+    kxx: SelfBlock | None = None,
+    kyy: SelfBlock | None = None,
 ) -> tuple[float, float | None]:
     """Squared MMD between two sets as (biased V-statistic, unbiased U-statistic).
 
@@ -80,10 +79,9 @@ def mmd2(
     cosine kernel these are sums of the unit rows u_i, v_j, in O((m + n) d):
     sum Kxx = ||sum u||^2, trace Kxx = sum ||u_i||^2, sum Kxy = sum u . sum v.
     The Gaussian family builds its blocks with :func:`kernels.cross`, one at
-    a time, or takes a self block's sum and trace from ``kxx``/``kyy``: a
-    :class:`kernels.SelfBlock` record (n, spec, sum, trace), or a Gram of
-    x/y already built by :func:`kernels.gram` (for this family equal to
-    ``cross`` bit for bit), reduced to one; the cosine family ignores them.
+    a time, or takes a self block's sum and trace from ``kxx``/``kyy``, a
+    :class:`kernels.SelfBlock` record (n, spec, sum, trace) of x/y; the
+    cosine family ignores them.
     """
     if x.d != y.d:
         raise DimensionMismatch(f"embedding dims differ: {x.d} vs {y.d}")
@@ -134,8 +132,8 @@ def compare(
     x: EmbeddingSet,
     y: EmbeddingSet,
     spec: KernelSpec,
-    kxx: SelfBlock | GramMatrix | None = None,
-    kyy: SelfBlock | GramMatrix | None = None,
+    kxx: SelfBlock | None = None,
+    kyy: SelfBlock | None = None,
 ) -> DiscrepancyReport:
     """KD (biased MMD^2 under the scoring kernel), FD, and unbiased MMD^2.
 

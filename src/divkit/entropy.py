@@ -109,12 +109,6 @@ class WeightVector:
     def uniform(n: int) -> "WeightVector":
         return WeightVector(np.full(n, 1.0 / n))
 
-    @staticmethod
-    def point_mass(n: int, i: int) -> "WeightVector":
-        w = np.zeros(n)
-        w[i] = 1.0
-        return WeightVector(w)
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -300,11 +294,3 @@ def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np
     mass = (u * u) @ (lam_pos * log_term)
     return -mass / np.maximum(q.weights, WEIGHT_FLOOR)
 
-
-def inverse_rke_weighted(k2: GramMatrix, q: WeightVector) -> float:
-    """q^T Ktilde q for a Hadamard-square Gram Ktilde; in (0, 1].
-
-    The RKE of the reweighted measure is the reciprocal of this value.
-    """
-    _check_dims(k2, q)
-    return float(q.weights @ k2.values @ q.weights)

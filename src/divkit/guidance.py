@@ -27,7 +27,7 @@ from .dataio import EmbeddingSet, RunSeed
 from .discrepancy import compare
 from .entropy import vendi_with_gram
 from .errors import BadArguments, DataError, EmptyBank
-from .kernels import KernelSpec, SelfBlock, cross, gram
+from .kernels import KernelSpec, SelfBlock, gram
 
 # ---------------------------------------------------------------------------
 # mixture targets
@@ -45,6 +45,8 @@ class MixtureSpec2D:
         centers = np.asarray(self.centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != 2 or centers.shape[0] < 1:
             raise DataError(f"centers must be (m, 2), got shape {centers.shape}")
+        if not np.isfinite(centers).all():
+            raise BadArguments(f"centers must be finite, got {centers.tolist()}")
         if len({tuple(c) for c in centers.tolist()}) != centers.shape[0]:
             raise DataError("mixture centers must be distinct")
         w = np.asarray(self.weights, dtype=np.float64).ravel()
@@ -55,8 +57,8 @@ class MixtureSpec2D:
         total = w.sum()
         if total <= 0:
             raise DataError("weights sum to zero")
-        if not self.component_std > 0:
-            raise BadArguments("component_std must be > 0")
+        if not 0 < self.component_std < math.inf:
+            raise BadArguments(f"component_std must be finite and > 0, got {self.component_std}")
         w = w / total
         centers = np.ascontiguousarray(centers)
         centers.flags.writeable = False
@@ -169,9 +171,8 @@ class NoiseSchedule:
 class _Step:
     """Constants of the noised mixture at level t and of the reverse step to t-1.
 
-    A run builds them once per level (:func:`_step_table`); a one-off call
-    builds the one level it needs.  Level 0 has a score but no reverse step,
-    so its step constants are unset.
+    A run builds them once per level (:func:`_step_table`).  Level 0 has a
+    score but no reverse step, so its step constants are unset.
     """
 
     __slots__ = ("t", "log_w", "centers", "centers_t", "var", "two_var",
@@ -243,45 +244,6 @@ def _reverse(z: np.ndarray, step: _Step, noise: np.ndarray | None) -> np.ndarray
     out /= step.sqrt_alpha
     out += step.post_std * noise
     return out
-
-
-def noised_log_density(z: np.ndarray, t: int, spec: MixtureSpec2D, sched: NoiseSchedule) -> float:
-    """log p_t(z) of the mixture after t forward noising steps."""
-    step = _Step(spec, sched, t, np.log(spec.weights))
-    z = np.asarray(z, dtype=np.float64)
-    sq = ((z[None, :] - step.centers) ** 2).sum(axis=1)
-    logits = step.log_w - sq / step.two_var - math.log(2.0 * math.pi * step.var)
-    peak = logits.max()
-    return float(peak + np.log(np.exp(logits - peak).sum()))
-
-
-def noised_mixture_score(z: np.ndarray, t: int, spec: MixtureSpec2D, sched: NoiseSchedule) -> np.ndarray:
-    """grad_z log p_t(z), stabilized with log-sum-exp responsibilities.
-
-    p_t has centers scaled by sqrt(alpha_bar_t) and per-component variance
-    alpha_bar_t * component_std^2 + (1 - alpha_bar_t).
-    """
-    return _score(np.asarray(z, dtype=np.float64), _Step(spec, sched, t, np.log(spec.weights)))
-
-
-def reverse_step(
-    z_t: np.ndarray,
-    t: int,
-    spec: MixtureSpec2D,
-    sched: NoiseSchedule,
-    gen: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One reverse update from level t to t-1 using the exact score.
-
-    With ``gen`` given this is the stochastic ancestral update (the posterior
-    noise is zero automatically on the final step); without it, the
-    deterministic DDIM update.
-    """
-    if t < 1:
-        raise BadArguments(f"reverse step needs t >= 1, got {t}")
-    step = _Step(spec, sched, t, np.log(spec.weights))
-    z_t = np.asarray(z_t, dtype=np.float64)
-    return _reverse(z_t, step, None if gen is None else gen.standard_normal(2))
 
 
 def _noise(rng: RunSeed, index: int, steps: int) -> np.ndarray:
@@ -402,15 +364,10 @@ class GuidanceConfig:
         return GuidanceConfig(np.linspace(0.0, eta0, steps), apply_every, kernel)
 
 
-def irke_objective(z: np.ndarray, bank: MemoryBank, kernel: KernelSpec) -> float:
-    """Mean squared kernel similarity of z to the bank entries; in [0, 1]."""
-    z = np.asarray(z, dtype=np.float64)
-    k = cross(z[None, :], bank.as_array(), kernel)[0]
-    return float((k * k).mean())
-
-
 def irke_gradient(z: np.ndarray, bank: MemoryBank, kernel: KernelSpec) -> np.ndarray:
-    """Closed-form gradient of :func:`irke_objective` for a gaussian kernel."""
+    """Gradient of J(z) = mean_j k(z, b_j)^2, the mean squared kernel
+    similarity of z to the bank entries b_j, in closed form for a gaussian
+    kernel; J lies in [0, 1]."""
     if kernel.family != "gaussian":
         raise DataError("analytic guidance gradient requires a gaussian kernel")
     entries = bank.as_array()

@@ -5,10 +5,10 @@ bandwidths quoted elsewhere in this package assume that form.  Embeddings are
 never normalized implicitly: the cosine kernel unit-normalizes internally,
 the Gaussian kernel uses raw coordinates.  Every array kernel evaluation in
 the package goes through :func:`cross` (all pairs of rows) or :func:`paired`
-(aligned rows); the scalar kernels are their reference.  :func:`unit_rows` is
-the cosine feature factor U (K = U U^T), from which the entropy and
-discrepancy modules compute cosine scores without an n x n block; the
-[-1, 1] clip of :func:`cross` acts only at rounding level.
+(aligned rows); the scalar kernels in ``tests/oracles.py`` are their
+reference.  :func:`unit_rows` is the cosine feature factor U (K = U U^T),
+from which the entropy and discrepancy modules compute cosine scores without
+an n x n block; the [-1, 1] clip of :func:`cross` acts only at rounding level.
 
 Gaussian squared distances come from BLAS products (one GEMM per block of
 rows) of the rows centred on the mean of ``x``, as ||a||^2 + ||b||^2 - 2 a.b.
@@ -60,26 +60,6 @@ class KernelSpec:
     @staticmethod
     def from_payload(doc: dict) -> "KernelSpec":
         return KernelSpec(doc["family"], doc.get("bandwidth"))
-
-
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
-    """exp(-||x-y||^2 / (2*bandwidth^2)); equals 1 iff x == y."""
-    if not bandwidth > 0:
-        raise NonPositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-float(diff @ diff) / (2.0 * bandwidth * bandwidth)))
-
-
-def cosine_kernel(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    if np.array_equal(x, y):
-        return 1.0  # normalization contract k(x, x) = 1, exactly
-    return float(np.clip((x @ y) / (nx * ny), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -314,29 +294,14 @@ def gram(x: EmbeddingSet, spec: KernelSpec) -> GramMatrix:
     return _trusted(k if spec.family == "gaussian" else _symmetrize(k), spec)
 
 
-def hadamard_square(k: GramMatrix) -> GramMatrix:
-    """Entrywise square K*K; PSD whenever K is (Schur product), diag stays 1."""
-    return _trusted(_symmetrize(k.values * k.values), k.spec)
-
-
 def _check_square(values: np.ndarray) -> None:
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DimensionMismatch(f"expected a square array, got shape {values.shape}")
 
 
-def gram_from_values(values: np.ndarray, spec: KernelSpec | None = None) -> GramMatrix:
-    """Wrap a raw array, symmetrizing and pinning the diagonal first."""
-    values = np.asarray(values, dtype=np.float64)
-    _check_square(values)
-    return GramMatrix(_symmetrize(np.clip(values, -1.0, 1.0)), spec)
-
-
-def save_gram(k: GramMatrix, path: str) -> None:
-    dataio.write_matrix_container(path, k.values)
-
-
 def load_gram(path: str, spec: KernelSpec | None = None) -> GramMatrix:
-    """Read a GRAM container as the Gram ``gram_from_values`` makes of it.
+    """Read a GRAM container as a Gram: entries clipped to [-1, 1], then
+    (K + K^T)/2 with the diagonal pinned to 1.
 
     The reader has checked every entry finite, so clipping and symmetrizing
     the array it returns, in place, leaves a valid Gram in one buffer.

@@ -46,17 +46,16 @@ from divkit.guidance import (
     MixtureSpec2D,
     NoiseSchedule,
     geometric_weights,
-    noised_log_density,
-    noised_mixture_score,
     run_guided_sampling,
 )
-from divkit.kernels import KernelSpec, gram, gram_from_values
+from divkit.kernels import KernelSpec, gram
 from divkit.projection import (
     ProjectionConfig,
     project_rke_penalized,
     project_vendi_penalized,
     project_vne,
 )
+from oracles import gram_from_values, noised_log_density, noised_mixture_score
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -242,8 +241,7 @@ def test_criterion_07b_two_cluster_grid_oracle():
     oracle_v = block_weights(grid[int(np.argmin(vals))], m1, m2)
     dev_v = float(np.abs(res_v.q_star.weights - oracle_v.weights).max())
 
-    from divkit.entropy import inverse_rke_weighted
-    from divkit.kernels import hadamard_square
+    from oracles import hadamard_square, inverse_rke_weighted
 
     lam_r = 0.5
     k2 = hadamard_square(k)

@@ -133,6 +133,13 @@ def test_cube_mixture_dimension_limit():
         CubeMixtureSpec(25, 0.1)
 
 
+@pytest.mark.parametrize("std", [-0.1, np.inf, np.nan])
+def test_cube_mixture_rejects_bad_component_std(std):
+    # a non-finite std would otherwise surface only at sampling, as NonFiniteEntry
+    with pytest.raises(BadArguments, match=str(std)):
+        CubeMixtureSpec(3, std)
+
+
 # -- vendi curves ------------------------------------------------------------------
 
 def test_vendi_curve_identical_dataset_flat_at_one():
@@ -190,11 +197,6 @@ def test_curve_plot_text_format():
     lines = text.strip().split("\n")
     assert lines[0] == "# size mean ci_low ci_high"
     assert lines[1].split() == ["4", "2", "1.5", "2.5"]
-
-
-def test_curve_payload_roundtrip():
-    curve = DiversityCurve((4, 8), (2.0, 3.0), (1.5, 2.5), (2.5, 3.5), 2, "vendi")
-    assert DiversityCurve.from_payload(curve.to_payload()) == curve
 
 
 # -- concentration ------------------------------------------------------------------

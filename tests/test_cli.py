@@ -14,8 +14,9 @@ import divkit.discrepancy
 import divkit.kernels
 from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
 from divkit.cli import main
-from divkit.dataio import EmbeddingSet, RunSeed, load_embeddings, load_record, save_embeddings
+from divkit.dataio import EmbeddingSet, RunSeed, load_embeddings, save_embeddings
 from divkit.kernels import cross
+from oracles import read_record
 
 
 def write_embeddings(path, data):
@@ -179,7 +180,7 @@ def test_curve_command_on_file(tmp_path):
     }))
     out = tmp_path / "out"
     assert run_cli(["curve", "--config", cfg, "--out", out]) == 0
-    rec = load_record(str(next(out.glob("curve-*/record.json"))))
+    rec = read_record(next(out.glob("curve-*/record.json")))
     assert rec.kind == "curve"
     assert rec.payload["config"]["seed"] == 5
     assert len(rec.payload["curve"]["sizes"]) == 3
@@ -204,7 +205,7 @@ def test_project_command_weights_sum_to_one(tmp_path):
     assert run_cli(["project", "--config", cfg, "--out", out]) == 0
     weights = [float(line) for line in next(out.glob("project-*/weights.txt")).read_text().split()]
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-    rec = load_record(str(next(out.glob("project-*/record.json"))))
+    rec = read_record(next(out.glob("project-*/record.json")))
     assert rec.payload["projection"]["vendi_after"] >= rec.payload["projection"]["vendi_before"]
 
 
@@ -227,7 +228,7 @@ def test_project_command_warns_when_not_converged(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["divkit: warning: vne_penalized projection stopped with status "
                    "max_iters after 3 iterations"]
-    rec = load_record(str(next(out.glob("project-*/record.json"))))
+    rec = read_record(next(out.glob("project-*/record.json")))
     assert rec.payload["projection"]["status"] == "max_iters"
 
     body.update({"lambda": 1.0, "max_iters": 5000})  # converges: no warning
@@ -250,7 +251,7 @@ def test_guide_command_eta_zero_blocks_equal(tmp_path):
     }))
     out = tmp_path / "out"
     assert run_cli(["guide", "--config", cfg, "--out", out]) == 0
-    rec = load_record(str(next(out.glob("guide-*/record.json"))))
+    rec = read_record(next(out.glob("guide-*/record.json")))
     assert rec.payload["metrics"]["guided"] == rec.payload["metrics"]["unguided"]
     run_dir = next(out.glob("guide-*"))
     guided = load_embeddings(os.path.join(run_dir, "guided.embd"))
@@ -316,7 +317,7 @@ def test_concentration_command(tmp_path):
     }))
     out = tmp_path / "out"
     assert run_cli(["concentration", "--config", cfg, "--out", out]) == 0
-    rec = load_record(str(next(out.glob("concentration-*/record.json"))))
+    rec = read_record(next(out.glob("concentration-*/record.json")))
     assert rec.kind == "concentration"
     assert rec.payload["concentration"]["passed"] is True
 
@@ -334,7 +335,7 @@ def test_config_flag_seed_override(tmp_path):
     cfg.write_text(json.dumps({"alphabet_size": 8, "sizes": [8, 16], "trials": 2, "seed": 0}))
     out = tmp_path / "out"
     assert run_cli(["bias", "--config", cfg, "--out", out, "--seed", "99"]) == 0
-    rec = load_record(str(next(out.glob("bias-*/record.json"))))
+    rec = read_record(next(out.glob("bias-*/record.json")))
     assert rec.payload["config"]["seed"] == 99
 
 

@@ -17,7 +17,6 @@ from divkit.dataio import (
     canonical_json,
     config_hash,
     load_embeddings,
-    load_record,
     save_embeddings,
     save_record,
     subsample,
@@ -29,7 +28,8 @@ from divkit.errors import (
     NonFiniteEntry,
     SizeTooLarge,
 )
-from divkit.kernels import gram_from_values, load_gram
+from divkit.kernels import load_gram
+from oracles import gram_from_values, read_record
 
 
 def test_csv_load_basic(tmp_path):
@@ -296,7 +296,7 @@ def test_record_roundtrip_score(tmp_path):
     rec = ResultRecord("score", {"vendi": 3.5, "rke": 2.0, "n": 10}, "abc", 0.0)
     p = tmp_path / "r.json"
     save_record(rec, str(p))
-    back = load_record(str(p))
+    back = read_record(p)
     assert back == rec
 
 
@@ -309,7 +309,7 @@ def test_record_roundtrip_curve(tmp_path):
     rec = ResultRecord("curve", payload, "ffff", 12.0)
     p = tmp_path / "r.json"
     save_record(rec, str(p))
-    assert load_record(str(p)) == rec
+    assert read_record(p) == rec
 
 
 def test_record_write_readonly_path(tmp_path):

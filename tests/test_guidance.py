@@ -18,15 +18,12 @@ from divkit.guidance import (
     geometric_weights,
     guided_step,
     irke_gradient,
-    irke_objective,
-    noised_log_density,
-    noised_mixture_score,
-    reverse_step,
     run_guided_sampling,
     sample_mixture,
     unguided_trajectories,
 )
 from divkit.kernels import KernelSpec
+from oracles import irke_objective, level, noised_log_density
 
 KERNEL = KernelSpec("gaussian", 1.0)
 
@@ -53,8 +50,12 @@ def test_circle_layout_radius():
 def test_mixture_validation():
     with pytest.raises(DataError):
         MixtureSpec2D(np.zeros((2, 2)), np.array([0.5, 0.5]), 0.1)  # duplicate centers
-    with pytest.raises(BadArguments):
-        MixtureSpec2D(np.array([[0.0, 0.0]]), np.array([1.0]), 0.0)
+    for std in (0.0, np.inf, np.nan):
+        with pytest.raises(BadArguments, match=str(std)):
+            MixtureSpec2D(np.array([[0.0, 0.0]]), np.array([1.0]), std)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(BadArguments, match=str(bad)):
+            MixtureSpec2D(np.array([[bad, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]), 0.1)
 
 
 def test_schedule_shapes():
@@ -89,13 +90,13 @@ def test_score_single_component_linear_form():
         var = ab * 0.3**2 + (1 - ab)
         z = np.array([0.7, 0.4])
         expected = -(z - np.sqrt(ab) * spec.centers[0]) / var
-        assert np.allclose(noised_mixture_score(z, t, spec, sched), expected, rtol=1e-12)
+        assert np.allclose(_score(z, level(spec, sched, t)), expected, rtol=1e-12)
 
 
 def test_score_symmetric_midpoint_zero():
     spec = MixtureSpec2D(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]), 0.2)
     sched = NoiseSchedule.cosine(100)
-    score = noised_mixture_score(np.array([0.0, 0.3]), 40, spec, sched)
+    score = _score(np.array([0.0, 0.3]), level(spec, sched, 40))
     assert abs(score[0]) < 1e-12
 
 
@@ -107,7 +108,7 @@ def test_score_matches_log_density_gradient():
     for _ in range(300):
         z = rng.normal(size=2) * 2.5
         t = int(rng.integers(0, 121))
-        s = noised_mixture_score(z, t, spec, sched)
+        s = _score(z, level(spec, sched, t))
         _, var = np.sqrt(sched.alpha_bar_at(t)), sched.alpha_bar_at(t) * 0.15**2 + 1 - sched.alpha_bar_at(t)
         h = 2e-6 * np.sqrt(var)
         fd = np.empty(2)
@@ -129,7 +130,7 @@ def test_ddim_contracts_to_single_mode():
     sched = NoiseSchedule.cosine(200)
     z = np.array([3.0, -2.0])
     for t in range(200, 0, -1):
-        z = reverse_step(z, t, spec, sched)
+        z = _reverse(z, level(spec, sched, t), None)
     assert np.linalg.norm(z) < 0.2
 
 
@@ -137,7 +138,7 @@ def test_ancestral_moments_single_component():
     spec = MixtureSpec2D(np.array([[0.5, -0.3]]), np.array([1.0]), 0.4)
     sched = NoiseSchedule.cosine(200)
     n = 4000
-    # the final row equals n per-sample reverse_step loops bitwise, as
+    # the final row equals n per-sample _reverse loops bitwise, as
     # test_batched_step_equals_row_steps and the one-noise-draw property pin
     out = unguided_trajectories(spec, sched, RunSeed(7), range(n))[-1]
     se_mean = 0.4 / np.sqrt(n)
@@ -154,16 +155,10 @@ def test_reverse_step_reproducible():
         gen = RunSeed(3).generator()
         z = gen.standard_normal(2)
         for t in range(50, 0, -1):
-            z = reverse_step(z, t, spec, sched, gen)
+            z = _reverse(z, level(spec, sched, t), gen.standard_normal(2))
         return z
 
     assert np.array_equal(run(), run())
-
-
-def test_reverse_step_rejects_t_zero():
-    spec = MixtureSpec2D(np.array([[0.0, 0.0]]), np.array([1.0]), 0.1)
-    with pytest.raises(BadArguments):
-        reverse_step(np.zeros(2), 0, spec, NoiseSchedule.cosine(20))
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,12 +180,13 @@ def test_batched_step_equals_row_steps(m, t, scale, seed, stochastic):
     step = _step_table(spec, sched)[sched.steps - t]
     batched = _reverse(z, step, noise)
     assert batched.shape == (m, 2)
+    row = level(spec, sched, t)  # built on its own, as a one-row step would be
     for i in range(m):
-        gen = np.random.default_rng([seed, i]) if stochastic else None
-        assert np.array_equal(batched[i], reverse_step(z[i], t, spec, sched, gen))
+        row_noise = np.random.default_rng([seed, i]).standard_normal(2) if stochastic else None
+        assert np.array_equal(batched[i], _reverse(z[i], row, row_noise))
     scores = _score(z, step)
     for i in range(m):
-        assert np.array_equal(scores[i], noised_mixture_score(z[i], t, spec, sched))
+        assert np.array_equal(scores[i], _score(z[i], row))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit.bias_lab import population_rke_mc
-from divkit.dataio import EmbeddingSet, RunSeed
+from divkit.dataio import EmbeddingSet, RunSeed, write_matrix_container
 from divkit.discrepancy import mmd2
 from divkit.entropy import _eigensolve
 from divkit.errors import DataError, NonPositiveBandwidth, ZeroVector
@@ -13,16 +13,12 @@ from divkit.kernels import (
     KernelSpec,
     _sq_rows,
     _symmetrize,
-    cosine_kernel,
     cross,
-    gaussian_kernel,
     gram,
-    gram_from_values,
-    hadamard_square,
     load_gram,
     paired,
-    save_gram,
 )
+from oracles import cosine_kernel, gaussian_kernel, gram_from_values, hadamard_square
 
 
 def min_eigenvalue(k: GramMatrix) -> float:
@@ -47,6 +43,8 @@ def test_gaussian_kernel_bad_bandwidth():
     for bandwidth in (np.inf, np.nan):
         with pytest.raises(NonPositiveBandwidth, match=str(bandwidth)):
             KernelSpec("gaussian", bandwidth)
+        with pytest.raises(NonPositiveBandwidth, match=str(bandwidth)):
+            gaussian_kernel([0.0], [5.0], bandwidth)
 
 
 def test_gaussian_monotone_and_translation_invariant():
@@ -182,7 +180,7 @@ def test_gram_container_roundtrip(tmp_path):
     x = EmbeddingSet(rng.normal(size=(12, 5)))
     k = gram(x, KernelSpec("gaussian", 2.0))
     p = tmp_path / "k.gram"
-    save_gram(k, str(p))
+    write_matrix_container(str(p), k.values)
     assert p.read_bytes()[:4] == b"GRAM"
     back = load_gram(str(p))
     assert np.array_equal(back.values, k.values)

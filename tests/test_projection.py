@@ -12,9 +12,9 @@ import divkit.projection
 
 from divkit.dataio import EmbeddingSet
 from divkit.discrepancy import kd_fixed_support
-from divkit.entropy import WeightVector, inverse_rke_weighted, vne_weighted
+from divkit.entropy import WeightVector, vne_weighted
 from divkit.errors import BadArguments
-from divkit.kernels import KernelSpec, gram, gram_from_values, hadamard_square
+from divkit.kernels import KernelSpec, gram
 from divkit.projection import (
     ProjectionConfig,
     _border,
@@ -25,6 +25,7 @@ from divkit.projection import (
     project_vendi_penalized,
     project_vne,
 )
+from oracles import gram_from_values, hadamard_square, inverse_rke_weighted
 
 
 def two_block_gram(m1, m2, within=0.99, across=0.01):
@@ -359,15 +360,11 @@ def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                         (divkit.projection, "eg_step"), (divkit.projection, "_weighted_eigh")):
         _counting(monkeypatch, counts, owner, name)
-    for owner in (divkit.kernels, divkit.projection):
-        if hasattr(owner, "hadamard_square"):
-            _counting(monkeypatch, counts, owner, "hadamard_square")
     cfg = ProjectionConfig(max_iters=60)
     res = _solve(mode, k, rho, cfg)
     assert len(res.entropy_trace) == len(res.objective_trace) == res.iterations + 1
-    # the summaries reuse the solver's own evaluations: no Hadamard square, and
-    # rke_penalized's two Vendi summaries are the only eigvalsh calls
-    assert counts.get("hadamard_square", 0) == 0
+    # the summaries reuse the solver's own evaluations: rke_penalized's two
+    # Vendi summaries are the only eigvalsh calls
     assert counts.get("eigvalsh", 0) == (2 if mode == "rke_penalized" else 0)
     if mode != "rke_penalized":
         # q0 and each candidate that survives the tangent screen are one eigh
