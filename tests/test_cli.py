@@ -552,6 +552,9 @@ GOLDEN_CONFIGS = {
                            "base_weights": {"type": "geometric", "ratio": 0.5},
                            "n_samples": 6, "schedule": {"kind": "cosine", "steps": 12},
                            "eta_schedule": "linear_decay", "apply_every": 3}),
+    "every_k": ("guide", {**GUIDE_OK, "n_samples": 6, "schedule": {"kind": "cosine", "steps": 12},
+                          "bank_policy": "every_k_steps", "apply_every": 3, "stochastic": False,
+                          "seed": 5}),
 }
 
 # (output directory, sha256 of record.json) per config above.  The directory
@@ -576,6 +579,8 @@ GOLDEN = {
                  "fdf1645491cd6e20247ce500aec1ff07eef53c36984598ef9dc1872d17b25123"),
     "explicit": ("guide-7218b1f88881",
                    "94e26d9598037d257f25a6d4debdb830111437ecdd3e25ee9440792397deed3e"),
+    "every_k": ("guide-d57d736e3c58",
+                  "05d97cc00023b2db61d8c0f0097f2f0bbd718d6066448a469696d7d00b29ca4f"),
 }
 
 
