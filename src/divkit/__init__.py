@@ -57,10 +57,8 @@ from .entropy import (
 from .guidance import (
     GuidanceConfig,
     GuidedRunResult,
-    MemoryBank,
     MixtureSpec2D,
     NoiseSchedule,
-    guided_step,
     irke_gradient,
     run_guided_sampling,
     sample_mixture,

@@ -168,6 +168,13 @@ def _points(value) -> np.ndarray:
     return arr
 
 
+def _format(value):
+    """An embedding file format; None sniffs it from the file."""
+    if value not in (None, "csv", "binary"):
+        raise ValueError(f"expected csv or binary, got {value!r}")
+    return value
+
+
 def _kernel(doc) -> KernelSpec:
     if not isinstance(doc, dict) or "family" not in doc:
         raise TypeError("expected an object with a 'family' field")
@@ -218,9 +225,10 @@ def _prepare_bias(c: dict):
 
 
 def _prepare_curve(c: dict):
-    path = spec = None
+    path = spec = fmt = None
     if _choose(c, "source.type", ("file", "cube_mixture")) == "file":
         path = _read(c, "source.path", _text)
+        fmt = _read(c, "source.format", _format, None)
     else:
         spec = bias_lab.CubeMixtureSpec(_read(c, "source.dimension", _integer),
                                         _read(c, "source.component_std", _number, 1e-4))
@@ -228,7 +236,7 @@ def _prepare_curve(c: dict):
 
     def run(out_dir: str, jobs: int) -> dict:
         source = (bias_lab.cube_mixture_sampler(spec) if path is None
-                  else dataio.load_embeddings(path, c["source"].get("format")))
+                  else dataio.load_embeddings(path, fmt))
         curve = bias_lab.vendi_curve(source, c["sizes"], c["trials"], kernel, _seed(c),
                                      size_cap=c["size_cap"], jobs=jobs)
         monotone = bias_lab.check_monotone_logvendi(curve)
@@ -250,6 +258,7 @@ def _prepare_project(c: dict):
     from_embeddings = _choose(c, "gram.type", ("gram_file", "embeddings")) == "embeddings"
     path = _read(c, "gram.path", _text)
     kernel = _read(c, "gram.kernel", _kernel) if from_embeddings else None
+    fmt = _read(c, "gram.format", _format, None) if from_embeddings else None
     mode = _choose(c, "mode", _SOLVERS)
     rho, lam, vendi_target = (_read(c, key, _optional(_number))
                               for key in ("rho", "lambda", "vendi_target"))
@@ -268,7 +277,7 @@ def _prepare_project(c: dict):
                                        tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
-        k = (gram(dataio.load_embeddings(path, c["gram"].get("format")), kernel)
+        k = (gram(dataio.load_embeddings(path, fmt), kernel)
              if from_embeddings else load_gram(path))
         result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
         if result.status != "converged":

@@ -285,45 +285,6 @@ def unguided_trajectories(
 BANK_POLICIES = ("all_finals", "every_k_steps")
 
 
-class MemoryBank:
-    """Append-only store of previously generated latents in a preallocated
-    (capacity, 2) array; adding to a full bank is a ``DataError``."""
-
-    def __init__(self, capacity: int, policy: str = "all_finals"):
-        if capacity < 1:
-            raise BadArguments("capacity must be >= 1")
-        if policy not in BANK_POLICIES:
-            raise DataError(f"unknown bank policy {policy!r}")
-        self.capacity = capacity
-        self.policy = policy
-        self._store = np.empty((capacity, 2))
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def is_empty(self) -> bool:
-        return self._count == 0
-
-    def add(self, z: np.ndarray) -> None:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (2,) or not np.isfinite(z).all():
-            raise DataError("bank entries must be finite 2-vectors")
-        if self._count == self.capacity:
-            raise DataError(f"memory bank is full at {self.capacity} entries")
-        self._store[self._count] = z
-        self._count += 1
-
-    def as_array(self) -> np.ndarray:
-        """The entries, oldest first, as a read-only view."""
-        if self._count == 0:
-            raise EmptyBank("memory bank has no entries")
-        entries = self._store[:self._count]
-        entries.flags.writeable = False
-        return entries
-
-
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Per-step guidance weights, cadence, and the latent-space kernel.
@@ -364,36 +325,18 @@ class GuidanceConfig:
         return GuidanceConfig(np.linspace(0.0, eta0, steps), apply_every, kernel)
 
 
-def irke_gradient(z: np.ndarray, bank: MemoryBank, kernel: KernelSpec) -> np.ndarray:
+def irke_gradient(z: np.ndarray, bank: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     """Gradient of J(z) = mean_j k(z, b_j)^2, the mean squared kernel
-    similarity of z to the bank entries b_j, in closed form for a gaussian
+    similarity of z to the bank rows b_j, in closed form for a gaussian
     kernel; J lies in [0, 1]."""
     if kernel.family != "gaussian":
         raise DataError("analytic guidance gradient requires a gaussian kernel")
-    entries = bank.as_array()
+    if len(bank) == 0:
+        raise EmptyBank("memory bank has no entries")
     z = np.asarray(z, dtype=np.float64)
-    diff = z[None, :] - entries
+    diff = z[None, :] - bank
     ksq = np.exp(-(diff**2).sum(axis=1) / kernel.bandwidth**2)
     return -2.0 / (len(bank) * kernel.bandwidth**2) * (ksq @ diff)
-
-
-def guided_step(z_tilde: np.ndarray, bank: MemoryBank, cfg: GuidanceConfig, t: int) -> np.ndarray:
-    """Repulsion update z - eta_t * grad J on scheduled steps, else identity.
-
-    Applies when (T - t) is a multiple of apply_every; an empty bank leaves
-    the proposal untouched.
-    """
-    z_tilde = np.asarray(z_tilde, dtype=np.float64)
-    if not 1 <= t <= cfg.steps:
-        raise BadArguments(f"step index {t} outside [1, {cfg.steps}]")
-    if (cfg.steps - t) % cfg.apply_every != 0:
-        return z_tilde
-    if bank.is_empty:
-        return z_tilde
-    eta = float(cfg.eta_t[t - 1])
-    if eta == 0.0:
-        return z_tilde
-    return z_tilde - eta * irke_gradient(z_tilde, bank, cfg.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +396,15 @@ def _generate(
     rng: RunSeed,
     stochastic: bool,
     bank_policy: str,
-) -> tuple[np.ndarray, int, MemoryBank]:
-    """The guided pass, one sample at a time: the bank couples each sample to
-    the ones before it, and holds every entry the pass adds."""
+) -> tuple[np.ndarray, int]:
+    """The guided pass, one sample at a time: the bank, the first ``filled`` rows
+    of ``bank``, holds each earlier final under ``all_finals`` and each earlier
+    guided latent under ``every_k_steps``."""
     steps = sched.steps
-    per_sample = 1 if bank_policy == "all_finals" else len(range(0, steps, cfg.apply_every))
-    bank = MemoryBank(max(n_samples * per_sample, 1), policy=bank_policy)
+    every_k = bank_policy == "every_k_steps"
+    per_sample = len(range(0, steps, cfg.apply_every)) if every_k else 1
+    bank = np.empty((n_samples * per_sample, 2))
+    filled = 0
     table = _step_table(base, sched)
     out = np.empty((n_samples, 2))
     empty_hits = 0
@@ -468,14 +414,19 @@ def _generate(
         for j, step in enumerate(table):
             z = _reverse(z, step, noise[j + 1] if stochastic else None)
             if j % cfg.apply_every == 0:
-                empty_hits += bank.is_empty
-                z = guided_step(z, bank, cfg, step.t)
-                if bank.policy == "every_k_steps":
-                    bank.add(z)
+                eta = cfg.eta_t[step.t - 1]
+                if filled == 0:
+                    empty_hits += 1
+                elif eta != 0.0:
+                    z = z - eta * irke_gradient(z, bank[:filled], cfg.kernel)
+                if every_k:
+                    bank[filled] = z
+                    filled += 1
         out[i] = z
-        if bank.policy == "all_finals":
-            bank.add(z)
-    return out, empty_hits, bank
+        if not every_k:
+            bank[filled] = z
+            filled += 1
+    return out, empty_hits
 
 
 def _measure(
@@ -526,18 +477,18 @@ def run_guided_sampling(
         raise DataError(
             f"guidance schedule has {cfg.steps} steps, noise schedule {sched.steps}"
         )
+    if bank_policy not in BANK_POLICIES:
+        raise DataError(f"unknown bank policy {bank_policy!r}")
     eval_kernel = metric_kernel or cfg.kernel
     base = spec.with_weights(base_weights)
     target = sample_mixture(spec, n_samples, rng.child(n_samples))
-    guided_samples, empty_hits, _ = _generate(
-        base, n_samples, sched, cfg, rng, stochastic, bank_policy
-    )
-    unguided_samples = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
+    guided, empty_hits = _generate(base, n_samples, sched, cfg, rng, stochastic, bank_policy)
+    unguided = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
     # both measures share the target's MMD self block; cosine MMD needs none
     kyy = SelfBlock.of(gram(target, eval_kernel)) if eval_kernel.family == "gaussian" else None
     return GuidedRunResult(
-        guided=_measure(guided_samples, target, spec, eval_kernel, kyy),
-        unguided=_measure(unguided_samples, target, spec, eval_kernel, kyy),
+        guided=_measure(guided, target, spec, eval_kernel, kyy),
+        unguided=_measure(unguided, target, spec, eval_kernel, kyy),
         n_modes=spec.n_modes,
         empty_bank_steps=empty_hits,
     )

@@ -254,13 +254,13 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
 
     The primal step descends the Lagrangian KD(q) + lambda * (rho - H(q))
     with backtracking; the dual multiplier ascends on the constraint
-    violation with stepsize gamma.  Because the single-step primal-dual
-    iteration can settle into a tight orbit around the saddle point, the
-    solver tracks the feasible-within-tol iterate with the smallest KD and
-    returns it, declaring convergence once that incumbent stops improving.
-    Returns status ``infeasible`` when the multiplier exceeds a fixed ceiling
-    while the violation stagnates (or immediately when rho exceeds log n,
-    which no weighting can reach).
+    violation with stepsize gamma.  The solver returns its last iterate,
+    with status ``converged`` once that iterate is feasible within tol and
+    moves by at most tol in one step; the single-step primal-dual iteration
+    can instead settle into a tight orbit around the saddle point and run
+    to ``max_iters``.  Returns status ``infeasible`` when the multiplier
+    exceeds a fixed ceiling while the violation stagnates (or immediately
+    when rho exceeds log n, which no weighting can reach).
     """
     if not math.isfinite(rho):
         raise BadArguments(f"rho must be finite, got {rho}")
@@ -280,7 +280,6 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
     violations = [rho - at.h]
     status = "max_iters"
     iterations = cfg.max_iters
-    best, best_kd, since_improved = None, np.inf, 0
     eta_run = cfg.eta
     gamma_run = cfg.gamma
     infeasible_streak = 0
@@ -311,16 +310,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             gamma_run = cfg.gamma
             infeasible_streak = 0
 
-        if violation <= cfg.tol and at.kd < best_kd - 1e-12 * max(1.0, abs(best_kd)):
-            best, best_kd, since_improved = at, at.kd, 0
-        else:
-            since_improved += 1
-
         if violation <= cfg.tol and step_norm <= cfg.tol:
-            status = "converged"
-            iterations = t + 1
-            break
-        if best is not None and since_improved >= _STAGNATION_WINDOW:
             status = "converged"
             iterations = t + 1
             break
@@ -333,8 +323,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
             iterations = t + 1
             break
 
-    best = best or at
-    return _finish(k, best.q, before, best.summary, objective_trace, entropy_trace, dual_trace,
+    return _finish(k, at.q, before, at.summary, objective_trace, entropy_trace, dual_trace,
                    status, iterations, "vne_constrained")
 
 

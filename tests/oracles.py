@@ -18,7 +18,7 @@ import numpy as np
 from divkit.dataio import ResultRecord
 from divkit.entropy import WeightVector, _check_dims
 from divkit.errors import NonPositiveBandwidth, ZeroVector
-from divkit.guidance import MemoryBank, MixtureSpec2D, NoiseSchedule, _score, _Step
+from divkit.guidance import MixtureSpec2D, NoiseSchedule, _score, _Step
 from divkit.kernels import GramMatrix, KernelSpec, _check_square, _symmetrize, _trusted, cross
 
 
@@ -71,10 +71,10 @@ def inverse_rke_weighted(k2: GramMatrix, q: WeightVector) -> float:
 
 # -- guidance --------------------------------------------------------------------
 
-def irke_objective(z: np.ndarray, bank: MemoryBank, kernel: KernelSpec) -> float:
-    """Mean squared kernel similarity of z to the bank entries; in [0, 1]."""
+def irke_objective(z: np.ndarray, bank: np.ndarray, kernel: KernelSpec) -> float:
+    """Mean squared kernel similarity of z to the bank rows; in [0, 1]."""
     z = np.asarray(z, dtype=np.float64)
-    k = cross(z[None, :], bank.as_array(), kernel)[0]
+    k = cross(z[None, :], bank, kernel)[0]
     return float((k * k).mean())
 
 

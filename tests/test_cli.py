@@ -412,6 +412,10 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("project", {**PROJECT_OK, "mode": "vne_constrained", "vendi_target": float("inf")},
      "vendi_target"),
     ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": float("inf")}}, "kernel"),
+    # an embedding file format is csv, binary or absent (sniffed)
+    ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "format": "xml"}},
+     "source.format"),
+    ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "format": 7}}, "gram.format"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ from divkit.dataio import RunSeed
 from divkit.errors import BadArguments, DataError, EmptyBank
 from divkit.guidance import (
     GuidanceConfig,
-    MemoryBank,
     MixtureSpec2D,
     NoiseSchedule,
     _noise,
@@ -16,7 +15,6 @@ from divkit.guidance import (
     _step_table,
     count_covered_modes,
     geometric_weights,
-    guided_step,
     irke_gradient,
     run_guided_sampling,
     sample_mixture,
@@ -26,10 +24,6 @@ from divkit.kernels import KernelSpec
 from oracles import irke_objective, level, noised_log_density
 
 KERNEL = KernelSpec("gaussian", 1.0)
-
-
-def make_cfg(eta=0.03, steps=100, every=10, bw=1.0):
-    return GuidanceConfig.constant(eta, steps, every, KernelSpec("gaussian", bw))
 
 
 # -- mixture specs and schedules -------------------------------------------------
@@ -202,62 +196,30 @@ def test_one_noise_draw_equals_per_step_draws(seed, index, steps):
     assert np.array_equal(_noise(RunSeed(seed), index, steps), per_step)
 
 
-# -- memory bank, objective, guidance -------------------------------------------------
-
-def test_full_bank_refuses_an_entry():
-    bank = MemoryBank(capacity=3)
-    for i in range(3):
-        bank.add(np.array([float(i), -float(i)]))
-    with pytest.raises(DataError, match="full at 3 entries"):
-        bank.add(np.array([3.0, -3.0]))
-    # the bank is unchanged, lists its entries oldest first, and the returned
-    # array cannot write into the bank
-    arr = bank.as_array()
-    assert len(bank) == 3
-    assert arr.tolist() == [[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]]
-    with pytest.raises(ValueError):
-        arr[:] = 99.0
-    assert bank.as_array()[:, 0].tolist() == [0.0, 1.0, 2.0]
-
-
-def test_bank_partial_fill_and_validation():
-    bank = MemoryBank(capacity=4)
-    bank.add(np.array([1.0, 2.0]))
-    bank.add(np.array([3.0, 4.0]))
-    assert bank.as_array().tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    for bad in (np.array([np.nan, 0.0]), np.zeros(3)):
-        with pytest.raises(DataError):
-            bank.add(bad)
-    assert len(bank) == 2
-
+# -- objective and guidance gradient ----------------------------------------------------
 
 def test_irke_objective_far_and_coincident():
-    bank = MemoryBank(10)
-    bank.add(np.array([0.0, 0.0]))
+    bank = np.array([[0.0, 0.0]])
     assert irke_objective(np.array([50.0, 0.0]), bank, KERNEL) < 1e-12
     assert irke_objective(np.array([0.0, 0.0]), bank, KERNEL) == pytest.approx(1.0)
 
 
 def test_irke_objective_equidistant_pair():
-    bank = MemoryBank(10)
-    bank.add(np.array([-1.0, 0.0]))
-    bank.add(np.array([1.0, 0.0]))
+    bank = np.array([[-1.0, 0.0], [1.0, 0.0]])
     r = np.sqrt(2.0)
     val = irke_objective(np.array([0.0, 1.0]), bank, KERNEL)
     k = np.exp(-(r**2) / 2.0)
     assert val == pytest.approx(k * k, rel=1e-12)
 
 
-def test_irke_objective_empty_bank():
+def test_irke_gradient_empty_bank():
     with pytest.raises(EmptyBank):
-        irke_objective(np.zeros(2), MemoryBank(4), KERNEL)
+        irke_gradient(np.zeros(2), np.empty((0, 2)), KERNEL)
 
 
 def test_irke_gradient_matches_fd():
     rng = np.random.default_rng(5)
-    bank = MemoryBank(20)
-    for _ in range(8):
-        bank.add(rng.normal(size=2))
+    bank = rng.normal(size=(8, 2))
     for _ in range(20):
         z = rng.normal(size=2) * 1.5
         g = irke_gradient(z, bank, KERNEL)
@@ -269,52 +231,23 @@ def test_irke_gradient_matches_fd():
             assert abs(fd - g[i]) <= 1e-6 * max(abs(fd), 1e-6)
 
 
-def test_guided_step_eta_zero_identity():
-    bank = MemoryBank(4)
-    bank.add(np.array([0.5, 0.5]))
-    cfg = make_cfg(eta=0.0)
-    z = np.array([1.0, 2.0])
-    assert np.array_equal(guided_step(z, bank, cfg, 100), z)
-
-
-def test_guided_step_off_cadence_identity():
-    bank = MemoryBank(4)
-    bank.add(np.array([0.5, 0.5]))
-    cfg = make_cfg(eta=0.1, steps=100, every=10)
-    z = np.array([1.0, 2.0])
-    assert np.array_equal(guided_step(z, bank, cfg, 99), z)  # (100-99) % 10 != 0
-    assert not np.array_equal(guided_step(z, bank, cfg, 90), z)
-
+# a guided step is z - eta * irke_gradient(z, bank, kernel)
 
 def test_guided_step_stationary_at_bank_entry():
-    bank = MemoryBank(4)
     z = np.array([0.7, -0.2])
-    bank.add(z)
-    cfg = make_cfg(eta=0.1)
-    assert np.array_equal(guided_step(z.copy(), bank, cfg, 100), z)
+    assert np.array_equal(z - 0.1 * irke_gradient(z, z[None, :], KERNEL), z)
 
 
 def test_guided_step_moves_away_from_entry():
-    bank = MemoryBank(4)
     b = np.array([0.0, 0.0])
-    bank.add(b)
-    cfg = make_cfg(eta=0.05)
     z = np.array([0.4, 0.3])
-    out = guided_step(z, bank, cfg, 100)
+    out = z - 0.05 * irke_gradient(z, b[None, :], KERNEL)
     assert float((out - z) @ (z - b)) > 0.0
-
-
-def test_guided_step_empty_bank_identity():
-    cfg = make_cfg()
-    z = np.array([1.0, 1.0])
-    assert np.array_equal(guided_step(z, MemoryBank(4), cfg, 100), z)
 
 
 def test_guided_step_descends_objective_small_eta():
     rng = np.random.default_rng(11)
-    bank = MemoryBank(50)
-    for _ in range(12):
-        bank.add(rng.normal(size=2))
+    bank = rng.normal(size=(12, 2))
     for _ in range(100):
         z = rng.normal(size=2) * 1.2
         g = irke_gradient(z, bank, KERNEL)
@@ -382,16 +315,35 @@ def test_run_bank_policy_sizes():
     assert res.empty_bank_steps > 0  # first trajectory sees an empty bank
 
 
-def test_bank_all_finals_size_equals_completed_samples():
-    from divkit.guidance import _generate
+def test_unknown_bank_policy_is_a_data_error():
+    spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
+    cfg = GuidanceConfig.constant(0.01, 20, 10, KERNEL)
+    with pytest.raises(DataError, match="unknown bank policy 'none'"):
+        run_guided_sampling(spec, spec.weights, 4, NoiseSchedule.cosine(20), cfg, RunSeed(2),
+                            bank_policy="none")
 
+
+def test_bank_all_finals_size_equals_completed_samples(monkeypatch):
+    from divkit import guidance
+
+    seen = []
+
+    def recording(z, bank, kernel):
+        seen.append(bank.copy())
+        return irke_gradient(z, bank, kernel)
+
+    monkeypatch.setattr(guidance, "irke_gradient", recording)
     spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
     sched = NoiseSchedule.cosine(40)
     cfg = GuidanceConfig.constant(0.01, 40, 10, KERNEL)
-    _, _, bank = _generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals")
-    assert len(bank) == 7
-    _, _, bank = _generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps")
-    assert len(bank) == 3 * len(range(0, 40, 10))
+    # each of the 4 scheduled steps of a sample sees the finals before it, oldest first
+    out, _ = guidance._generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals")
+    assert len(seen) == 6 * 4
+    assert all(np.array_equal(bank, out[:i // 4 + 1]) for i, bank in enumerate(seen))
+    # every scheduled step adds its guided latent, so the bank grows by one per step
+    seen.clear()
+    guidance._generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps")
+    assert [len(bank) for bank in seen] == list(range(1, 3 * 4))
 
 
 def test_count_covered_modes():
