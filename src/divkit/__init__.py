@@ -44,14 +44,12 @@ from .dataio import (
 from .discrepancy import DiscrepancyReport, compare, frechet_distance, kd_fixed_support, mmd2
 from .entropy import (
     DiversityScore,
-    SpectrumReport,
     WeightVector,
     rke,
     score_gram,
     vendi,
     vne_gradient,
     vne_weighted,
-    von_neumann_entropy,
     weighted_gram,
 )
 from .guidance import (

@@ -14,16 +14,21 @@ no n x n matrix is built.  The size cap bounds the order of the matrix
 actually eigensolved.  The Gram path stays the Gaussian path and the test
 oracle; it holds the Gram, divided by n in place, and LAPACK's copy.
 
-Every eigensolve goes through ``_eigensolve``.  In place on the array it is
-handed, it symmetrizes it and sets each entry with |a_ij| < eps^2 * max|a|
-(eps = float64 machine epsilon) to exactly 0 before LAPACK sees it; public
-entry points hand it a copy of the caller's array.  Well-separated clusters
-under a narrow Gaussian kernel give Grams with entries of 1e-87 and below,
-whose products in the tridiagonal reduction fall into subnormal arithmetic
-and slow the solve 3-14x.  By Weyl's inequality the flush moves each
-eigenvalue by at most n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far
-below LAPACK's own backward error of order n * eps * ||A||_2, so the cutoff
-is a constant and not a setting.
+Every entropy (each score, each weighted entropy, and the eigenpairs each
+projection step and gradient use) passes one gate, ``_spectrum``: it checks
+the shape and the unit trace, solves with ``_eigensolve``, checks that the
+matrix is PSD and sums -lam*log(lam) over the clamped spectrum.  Only the
+Frechet distance's covariance roots, not unit-trace, call ``_eigensolve``
+directly.  In place on the array it is handed (a buffer the entry point
+built, never the caller's), ``_eigensolve`` symmetrizes it and sets each
+entry with |a_ij| < eps^2 * max|a| (eps = float64 machine epsilon) to exactly
+0 before LAPACK sees it.  Well-separated clusters under a narrow Gaussian
+kernel give Grams with entries of 1e-87 and below, whose products in the
+tridiagonal reduction fall into subnormal arithmetic and slow the solve
+3-14x.  By Weyl's inequality the flush moves each eigenvalue by at most
+n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far below LAPACK's own
+backward error of order n * eps * ||A||_2, so the cutoff is a constant and
+not a setting.
 """
 
 from __future__ import annotations
@@ -79,6 +84,28 @@ def _eigensolve(a: np.ndarray, vectors: bool = False):
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
+def _spectrum(a: np.ndarray, vectors: bool = False) -> tuple[float, np.ndarray | tuple]:
+    """Von Neumann entropy -sum(lam * log(lam)) (nats) of the unit-trace PSD
+    matrix ``a``, and the :func:`_eigensolve` result it came from.
+
+    ``a`` is handed over to ``_eigensolve``.  Eigenvalues are summed in
+    descending order, clamped at 0; those at or below SPECTRAL_FLOOR
+    contribute nothing (0*log(0) = 0).
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DataError(f"expected a square matrix, got shape {a.shape}")
+    trace = float(np.trace(a))
+    if abs(trace - 1.0) > 1e-6:
+        raise NotUnitTrace(f"trace is {trace!r}, expected 1")
+    eig = _eigensolve(a, vectors)
+    vals = eig[0] if vectors else eig
+    if vals[0] < -1e-10:
+        raise NotPSD(f"smallest eigenvalue {vals[0]:.3e} below tolerance")
+    lam = np.maximum(vals[::-1], 0.0)
+    live = lam[lam > SPECTRAL_FLOOR]
+    return max(0.0, float(-(live * np.log(live)).sum())), eig
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """A point on the n-simplex; renormalized to sum exactly 1 on construction."""
@@ -108,41 +135,6 @@ class WeightVector:
     @staticmethod
     def uniform(n: int) -> "WeightVector":
         return WeightVector(np.full(n, 1.0 / n))
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Clamped descending eigenvalues of a unit-trace PSD matrix."""
-
-    eigenvalues: np.ndarray
-    trace: float
-
-    @staticmethod
-    def from_matrix(a: np.ndarray, vals=None) -> "SpectrumReport":
-        """Checked spectrum of ``a``; ``vals`` are its ascending eigenvalues if already solved."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DataError(f"expected a square matrix, got shape {a.shape}")
-        trace = float(np.trace(a))
-        if abs(trace - 1.0) > 1e-6:
-            raise NotUnitTrace(f"trace is {trace!r}, expected 1")
-        vals = _eigensolve(a.copy()) if vals is None else vals
-        if vals[0] < -1e-10:
-            raise NotPSD(f"smallest eigenvalue {vals[0]:.3e} below tolerance")
-        vals = np.maximum(vals[::-1], 0.0)
-        return SpectrumReport(vals, trace)
-
-
-def von_neumann_entropy(a) -> float:
-    """Entropy -sum(lam * log(lam)) of a unit-trace PSD matrix (nats).
-
-    Accepts either the matrix itself or a precomputed SpectrumReport.
-    Eigenvalues at or below SPECTRAL_FLOOR contribute nothing (0*log(0) = 0).
-    """
-    report = a if isinstance(a, SpectrumReport) else SpectrumReport.from_matrix(a)
-    lam = report.eigenvalues
-    live = lam[lam > SPECTRAL_FLOOR]
-    return max(0.0, float(-(live * np.log(live)).sum()))
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def _check_cap(order: int, size_cap: int) -> None:
 
 def _diversity(a: np.ndarray, n: int, rke_value: float, spec: KernelSpec | None) -> DiversityScore:
     """Scores of n samples from ``a``, a unit-trace matrix with the nonzero spectrum of K/n."""
-    h = von_neumann_entropy(SpectrumReport.from_matrix(a, vals=_eigensolve(a)))
+    h = _spectrum(a)[0]
     log_vendi = min(h, np.log(n)) if n > 1 else 0.0
     return DiversityScore(
         vendi=float(np.exp(log_vendi)),
@@ -252,22 +244,20 @@ def _check_dims(k: GramMatrix, q: WeightVector) -> None:
 
 
 def weighted_gram(k: GramMatrix, q: WeightVector) -> np.ndarray:
-    """diag(sqrt(q)) K diag(sqrt(q)); unit trace because K has unit diagonal."""
+    """diag(sqrt(q)) K diag(sqrt(q)); unit trace because K has unit diagonal.
+
+    One n x n buffer: the outer product of the root weights, times K in place.
+    """
     _check_dims(k, q)
     root = np.sqrt(q.weights)
-    return k.values * np.outer(root, root)
+    a = np.outer(root, root)
+    a *= k.values
+    return a
 
 
 def vne_weighted(k: GramMatrix, q: WeightVector) -> float:
     """Entropy of the q-reweighted measure; Shannon entropy of q when K = I."""
-    return von_neumann_entropy(weighted_gram(k, q))
-
-
-def _weighted_eigh(k: GramMatrix, q: WeightVector) -> tuple[float, tuple]:
-    """``vne_weighted(k, q)`` and the eigenpairs of A(q) from one ``eigh``, for ``vne_gradient``."""
-    a = weighted_gram(k, q)
-    eig = _eigensolve(a, vectors=True)
-    return von_neumann_entropy(SpectrumReport.from_matrix(a, vals=eig[0])), eig
+    return _spectrum(weighted_gram(k, q))[0]
 
 
 def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np.ndarray:
@@ -288,7 +278,7 @@ def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np
     ``eig`` takes the eigenpairs of A(q) if they are already solved.
     """
     _check_dims(k, q)
-    lam, u = _eigensolve(weighted_gram(k, q), vectors=True) if eig is None else eig
+    lam, u = _spectrum(weighted_gram(k, q), vectors=True)[1] if eig is None else eig
     lam_pos = np.maximum(lam, 0.0)
     log_term = np.log(np.maximum(lam, SPECTRAL_FLOOR)) + 1.0
     mass = (u * u) @ (lam_pos * log_term)

@@ -279,9 +279,10 @@ def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def paired(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """k(x_i, y_i) for aligned rows of ``x`` and ``y``; O(n d)."""
     if spec.family == "gaussian":
-        sq = ((x - y) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # rows so far apart give 0, as in cross
+            sq = ((x - y) ** 2).sum(axis=1)
         return np.exp(-sq / (2.0 * spec.bandwidth**2))
-    return np.clip((x * y).sum(axis=1) / (_row_norms(x) * _row_norms(y)), -1.0, 1.0)
+    return np.clip((unit_rows(x) * unit_rows(y)).sum(axis=1), -1.0, 1.0)
 
 
 def gram(x: EmbeddingSet, spec: KernelSpec) -> GramMatrix:
@@ -299,7 +300,7 @@ def _check_square(values: np.ndarray) -> None:
         raise DimensionMismatch(f"expected a square array, got shape {values.shape}")
 
 
-def load_gram(path: str, spec: KernelSpec | None = None) -> GramMatrix:
+def load_gram(path: str) -> GramMatrix:
     """Read a GRAM container as a Gram: entries clipped to [-1, 1], then
     (K + K^T)/2 with the diagonal pinned to 1.
 
@@ -309,4 +310,4 @@ def load_gram(path: str, spec: KernelSpec | None = None) -> GramMatrix:
     values = dataio.read_matrix_container(path)
     _check_square(values)
     np.clip(values, -1.0, 1.0, out=values)
-    return _trusted(_symmetrize(values), spec)
+    return _trusted(_symmetrize(values), None)

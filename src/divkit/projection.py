@@ -27,9 +27,10 @@ from .entropy import (
     SPECTRAL_FLOOR,
     WEIGHT_FLOOR,
     WeightVector,
-    _weighted_eigh,
+    _spectrum,
     vne_gradient,
     vne_weighted,
+    weighted_gram,
 )
 from .errors import BadArguments, DataError
 from .kernels import GramMatrix
@@ -239,7 +240,7 @@ def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
         kd, kd_grad = _kd_and_grad(k, cand, q0)
         tangent = None if slack is None else at.h + float(grad_h @ (cand.weights - at.q.weights))
         if tangent is None or kd + lam * (rho - (tangent + slack)) < bar:
-            h, eig = _weighted_eigh(k, cand)
+            h, eig = _spectrum(weighted_gram(k, cand), vectors=True)
             if kd + lam * (rho - h) < bar:
                 # grow the step while the line search accepts immediately
                 grown = (min(eta * 2.0, cfg.eta * _ETA_GROWTH_CAP) if tries == 0
@@ -266,7 +267,7 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
         raise BadArguments(f"rho must be finite, got {rho}")
     n = k.n
     q0 = WeightVector.uniform(n)
-    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_spectrum(weighted_gram(k, q0), vectors=True))
     before = at.summary
     objective_trace = [at.kd]
     entropy_trace = [at.h]
@@ -335,7 +336,7 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     """
     _check_lambda(lam)
     q0 = WeightVector.uniform(k.n)
-    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_weighted_eigh(k, q0))
+    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_spectrum(weighted_gram(k, q0), vectors=True))
     before = at.summary
     objective_trace = [at.kd - lam * at.h]
     entropy_trace = [at.h]

@@ -10,15 +10,15 @@ import divkit.entropy
 from divkit.entropy import (
     DEFAULT_SIZE_CAP,
     DiversityScore,
-    SpectrumReport,
     WeightVector,
+    _eigensolve,
+    _spectrum,
     rke,
     score_gram,
     vendi,
     vendi_with_gram,
     vne_gradient,
     vne_weighted,
-    von_neumann_entropy,
     weighted_gram,
 )
 from divkit.errors import (
@@ -55,38 +55,43 @@ def cluster_embeddings(sizes, d=4, spread=100.0):
 
 # -- von Neumann entropy ------------------------------------------------------
 
+def gated_entropy(a):
+    """The entropy from the one spectral gate, on a float copy of ``a``."""
+    return _spectrum(np.array(a, dtype=float))[0]
+
+
 def test_vne_uniform_spectrum():
     n = 9
-    assert von_neumann_entropy(np.eye(n) / n) == pytest.approx(np.log(n), abs=1e-12)
+    assert gated_entropy(np.eye(n) / n) == pytest.approx(np.log(n), abs=1e-12)
 
 
 def test_vne_rank_one():
     v = np.array([0.6, 0.8])
-    assert von_neumann_entropy(np.outer(v, v)) == pytest.approx(0.0, abs=1e-12)
+    assert gated_entropy(np.outer(v, v)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vne_closed_form_spectrum():
     a = np.diag([0.5, 0.25, 0.25])
-    assert von_neumann_entropy(a) == pytest.approx(1.5 * np.log(2.0), rel=1e-12)
-    assert von_neumann_entropy(a) == pytest.approx(1.0397207708399179, abs=1e-10)
+    assert gated_entropy(a) == pytest.approx(1.5 * np.log(2.0), rel=1e-12)
+    assert gated_entropy(a) == pytest.approx(1.0397207708399179, abs=1e-10)
 
 
 def test_vne_rejects_bad_trace():
     with pytest.raises(NotUnitTrace):
-        von_neumann_entropy(np.eye(3))
+        gated_entropy(np.eye(3))
 
 
 def test_vne_rejects_indefinite():
     a = np.diag([1.5, -0.5])
     with pytest.raises(NotPSD):
-        von_neumann_entropy(a)
+        gated_entropy(a)
 
 
-def test_spectrum_report_sorted_and_clamped():
-    rep = SpectrumReport.from_matrix(np.diag([0.25, 0.5, 0.25]))
-    assert np.all(np.diff(rep.eigenvalues) <= 0)
-    assert rep.eigenvalues.min() >= 0.0
-    assert rep.trace == pytest.approx(1.0)
+def test_spectrum_clamps_negative_eigenvalues_within_tolerance():
+    # -1e-11 is rounding, not indefiniteness: it counts as 0 and the entropy is log 2
+    h, vals = _spectrum(np.diag([0.5 + 1e-11, 0.5, -1e-11]))
+    assert vals[0] == -1e-11
+    assert h == pytest.approx(np.log(2.0), rel=1e-10)
 
 
 # -- vendi / rke ---------------------------------------------------------------
@@ -216,7 +221,7 @@ def test_vne_weighted_matches_feature_factorization():
     lam, vec = np.linalg.eigh(k.values)
     phi = vec @ np.diag(np.sqrt(np.maximum(lam, 0.0)))
     cov = phi.T @ np.diag(q.weights) @ phi
-    assert vne_weighted(k, q) == pytest.approx(von_neumann_entropy(cov), abs=1e-9)
+    assert vne_weighted(k, q) == pytest.approx(_spectrum(cov)[0], abs=1e-9)
 
 
 def test_vne_concavity_probe():
@@ -353,8 +358,7 @@ def test_spectrum_without_sub_rounding_entries_is_plain_eigvalsh(n, d, seed, spr
     a = x @ x.T
     a /= np.trace(a)
     assume(np.abs(a).min() >= FLUSH_RATIO * np.abs(a).max())
-    plain = np.maximum(np.linalg.eigvalsh((a + a.T) / 2.0)[::-1], 0.0)
-    assert np.array_equal(SpectrumReport.from_matrix(a).eigenvalues, plain)
+    assert np.array_equal(_eigensolve(a.copy()), np.linalg.eigvalsh((a + a.T) / 2.0))
 
 
 def test_cube_mixture_log_vendi_matches_blockwise_oracle():
@@ -495,13 +499,11 @@ def test_public_entry_points_leave_callers_arrays_unchanged(m, n, d, seed, sprea
     y = EmbeddingSet(rng.normal(size=(n, d)) * spread + 0.5)
     spec = KernelSpec(family, 1.0 if family == "gaussian" else None)
     kx, ky = gram(x, spec), gram(y, spec)
-    # unit trace and not symmetric; far apart sets give an entry that is flushed
-    a = kx.values / m
-    a[-1, 0] = np.nextafter(a[-1, 0], 1.0)
-    arrays = (x.data, y.data, kx.values, ky.values, a)
+    q = WeightVector(rng.dirichlet(np.ones(m)))
+    arrays = (x.data, y.data, kx.values, ky.values, q.weights)
     before = [arr.tobytes() for arr in arrays]
-    von_neumann_entropy(a)
-    SpectrumReport.from_matrix(a)
+    vne_weighted(kx, q)
+    vne_gradient(kx, q)
     score_gram(kx)
     score_gram(ky)
     compare(x, y, spec, SelfBlock.of(kx), SelfBlock.of(ky))
@@ -548,3 +550,25 @@ def test_gaussian_score_and_compare_hold_two_gram_sized_buffers(monkeypatch):
         tracemalloc.stop()
     assert peak <= 2.1 * 8 * n * n  # the Gram and one temporary of its size
     assert max(at_solve) <= 1.1 * 8 * n * n  # the Gram as K/n, next to LAPACK's copy
+
+
+def test_weighted_entropy_holds_one_gram_sized_buffer(monkeypatch):
+    import tracemalloc
+
+    n = 1024
+    rng = np.random.default_rng(3)
+    k = gram(EmbeddingSet(rng.normal(size=(n, 16))), KernelSpec("gaussian", 4.0))
+    q = WeightVector(rng.dirichlet(np.ones(n)))
+    at_solve = []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: at_solve.append(tracemalloc.get_traced_memory()[0]) or solver(a))
+    tracemalloc.start()
+    try:
+        vne_weighted(k, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A(q) is built in one buffer and handed to LAPACK uncopied
+    assert peak <= 1.1 * 8 * n * n
+    assert at_solve and max(at_solve) <= 1.1 * 8 * n * n

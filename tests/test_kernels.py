@@ -117,9 +117,11 @@ def test_cross_and_paired_kernel_layer(spec):
     np.testing.assert_allclose(cross(x, y, spec), expected, rtol=1e-12)
 
     y_aligned = rng.normal(size=x.shape)
-    np.testing.assert_allclose(
-        paired(x, y_aligned, spec), np.diagonal(cross(x, y_aligned, spec)), rtol=1e-12
-    )
+    # rows whose squares and products overflow: cross gives 0 (Gaussian) or
+    # the cosine of the directions, and paired must agree without a warning
+    huge = rng.normal(size=(2,) + x.shape) * 1e200
+    for a, b in ((x, y_aligned), (huge[0], huge[1])):
+        np.testing.assert_allclose(paired(a, b, spec), np.diagonal(cross(a, b, spec)), rtol=1e-12)
 
     if spec.family == "gaussian":
         return

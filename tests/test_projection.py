@@ -358,7 +358,7 @@ def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
     rho = vne_weighted(k, WeightVector.uniform(k.n)) + 0.05
     counts = {}
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                        (divkit.projection, "eg_step"), (divkit.projection, "_weighted_eigh")):
+                        (divkit.projection, "eg_step"), (divkit.projection, "_spectrum")):
         _counting(monkeypatch, counts, owner, name)
     cfg = ProjectionConfig(max_iters=60)
     res = _solve(mode, k, rho, cfg)
@@ -369,7 +369,7 @@ def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
     if mode != "rke_penalized":
         # q0 and each candidate that survives the tangent screen are one eigh
         # each, and the gradients reuse those eigenpairs
-        survivors = counts["_weighted_eigh"] - 1
+        survivors = counts["_spectrum"] - 1
         assert counts["eigh"] == 1 + survivors
         assert survivors < counts["eg_step"]
         if mode == "vne_penalized":
@@ -420,13 +420,13 @@ def test_tangent_screen_changes_no_iterate(monkeypatch, mode, clamped):
 
     def solve():
         counts = {}
-        _counting(monkeypatch, counts, divkit.projection, "_weighted_eigh")
+        _counting(monkeypatch, counts, divkit.projection, "_spectrum")
         if mode == "vne_penalized":
             res = project_vendi_penalized(k, 0.05, ProjectionConfig(max_iters=150))
         else:
             res = project_vne(k, rho, ProjectionConfig(max_iters=150))
         monkeypatch.undo()
-        return res, counts["_weighted_eigh"]
+        return res, counts["_spectrum"]
 
     slacks = []
     real = divkit.projection._screen_slack

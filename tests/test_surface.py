@@ -65,3 +65,17 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(_uncalled()) - DOCUMENTED) == []
     readme = (ROOT / "README.md").read_text()
     assert [name for name in sorted(DOCUMENTED) if name not in readme] == []
+
+
+def test_one_spectral_gate():
+    # every entropy passes entropy._spectrum, and every eigensolve entropy._eigensolve;
+    # the Frechet distance's covariance roots are not unit-trace and skip the gate
+    sites = {"eigh": set(), "eigvalsh": set(), "_eigensolve": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for name, _ in _references(top):
+                if name in sites:
+                    sites[name].add(f"{path.stem}.{getattr(top, 'name', None)}")
+    assert sites["eigh"] == sites["eigvalsh"] == {"entropy._eigensolve"}
+    gated = {s for s in sites["_eigensolve"] if not s.startswith("discrepancy.")}
+    assert gated == {"entropy._spectrum"}
