@@ -112,9 +112,17 @@ def load_embeddings(path: str, fmt: str | None = None) -> EmbeddingSet:
     if fmt == "csv":
         return _load_csv(path)
     if fmt == "binary":
-        data = _read_container(path, _MAGIC_EMBD)
-        return EmbeddingSet(data, label=os.path.basename(path))
+        return _loaded(_read_container(path, _MAGIC_EMBD), path)
     raise DataError(f"unknown embedding format {fmt!r}")
+
+
+def _loaded(arr: np.ndarray, path: str) -> EmbeddingSet:
+    """The set of an array read from ``path``: ``EmbeddingSet`` makes the one
+    finiteness scan, and its error names the path, not only the label."""
+    try:
+        return EmbeddingSet(arr, label=os.path.basename(path))
+    except NonFiniteEntry as exc:
+        raise NonFiniteEntry(exc.row, exc.col, path) from None
 
 
 def save_embeddings(x: EmbeddingSet, path: str, fmt: str = "binary") -> None:
@@ -184,8 +192,7 @@ def _load_csv(path: str) -> EmbeddingSet:
         raise IoFailure(str(exc)) from exc
     except (_LeaveToLineReader, ValueError):  # ValueError covers UnicodeDecodeError
         arr = _read_csv_lines(path)
-    _check_finite(arr, path)
-    return EmbeddingSet(arr, label=os.path.basename(path))
+    return _loaded(arr, path)
 
 
 def _read_csv_lines(path: str) -> np.ndarray:
@@ -261,7 +268,6 @@ def _read_container(path: str, magic: bytes) -> np.ndarray:
                 raise MalformedFile(f"{path}: expected {expected} bytes, found {found}")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    _check_finite(arr, path)
     return arr
 
 
@@ -271,7 +277,9 @@ def write_matrix_container(path: str, arr: np.ndarray) -> None:
 
 
 def read_matrix_container(path: str) -> np.ndarray:
-    return _read_container(path, _MAGIC_GRAM)
+    arr = _read_container(path, _MAGIC_GRAM)
+    _check_finite(arr, path)
+    return arr
 
 
 def write_text(path: str, text: str | Iterable[str]) -> None:

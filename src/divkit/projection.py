@@ -10,8 +10,13 @@ Three simplex programs over the weights q of a reweighted empirical measure:
   by an active-set method on an inverse Cholesky factor, in numpy alone.
 
 q0 is always uniform.  The VNE modes share one exponentiated-gradient (KL
-mirror descent) line search.  Penalized objectives are convex, so their
-traces never increase, and both report the Frank-Wolfe gap at q*.
+mirror descent) line search.  vne_penalized runs a safeguarded Newton phase
+before it: affine-scaled directions from conjugate gradients on Hessian-vector
+products (Daleckii-Krein, two GEMMs each, no eigensolve), an Armijo
+backtrack, and a stop on the Frank-Wolfe gap; the EG line search takes over
+at its first failed step, or once its gap stops halving.  Penalized
+objectives are convex, so their traces never increase, and both report the
+Frank-Wolfe gap at q*.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ from .errors import BadArguments, DataError
 from .kernels import GramMatrix
 
 _MAX_BACKTRACKS = 50
+_TO_BOUNDARY = 0.995
+_ARMIJO = 1e-4
+_NEWTON_BACKTRACKS = 6
+_CG_RTOL = 1e-10
+_NEWTON_WINDOW = 20
 _LAMBDA_CEILING = 1e6
 _STAGNATION_WINDOW = 100
 _STAGNATION_EPS = 1e-12
@@ -50,8 +60,10 @@ class ProjectionConfig:
     """Solver knobs shared by the three projection modes.
 
     Each solver takes its entropy target or lambda as an argument.  ``eta``
-    applies to the VNE modes only and ``gamma`` to vne_constrained only; for
-    rke_penalized ``max_iters`` counts support changes.
+    is the first EG step of the VNE modes (for vne_penalized, of the EG phase
+    that follows its Newton phase) and ``gamma`` applies to vne_constrained
+    only.  ``max_iters`` bounds the iterations: Newton and EG steps together
+    for vne_penalized, support changes for rke_penalized.
     """
 
     eta: float = 0.1
@@ -73,7 +85,8 @@ class ProjectionResult:
     ``entropy_trace`` records the von Neumann entropy for the VNE modes and
     the order-2 entropy log(1 / q^T Ktilde q) for rke_penalized (keeping that
     mode free of eigendecompositions).  ``gap`` (not in the payload) is the
-    penalized modes' Frank-Wolfe gap g.q* - min_i g_i; None for vne_constrained.
+    penalized modes' Frank-Wolfe gap g.q* - min_i g_i, g the gradient of the
+    objective they trace; None for vne_constrained.
     The summaries at q0 and q* are the solver's own: the VNE modes read H and
     q^T Ktilde q = sum(lam^2) off their eigenvalues, rke_penalized its gradient's
     q^T Ktilde q, and solves H once at each.
@@ -250,6 +263,124 @@ def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
     return None, cfg.eta
 
 
+def _clamped(eig: tuple) -> tuple:
+    """``eig`` with its eigenvalues at or below SPECTRAL_FLOOR set to 0, as the
+    entropy of ``_spectrum`` counts them: ``vne_gradient`` of these eigenpairs
+    is the gradient of that entropy."""
+    mu, u = eig
+    return np.where(mu > SPECTRAL_FLOOR, mu, 0.0), u
+
+
+def _vne_hessian(q: np.ndarray, eig: tuple):
+    """The product v -> (Hessian of H at q) v, from the eigenpairs (mu, U) of A(q).
+
+    H(q) = -tr(C log C) with C(q) = Phi^T diag(q) Phi linear in q (K = Phi Phi^T),
+    and the Daleckii-Krein formula for the derivative of log C gives
+
+        d2H/dq_i dq_j = -(1/(q_i q_j)) * sum_ab M_ab u_ia u_ib u_ja u_jb,
+        M_ab = mu_a mu_b (log mu_a - log mu_b) / (mu_a - mu_b),  M_aa = mu_a,
+
+    so the product is -diag(U (M o X) U^T) / q with X = U^T diag(v/q) U: two
+    GEMMs, and no temporary larger than n x n.  M is 0 where either eigenvalue
+    is at or below SPECTRAL_FLOOR, as those carry no entropy.  Close pairs take
+    the log ratio from log1p of (mu_a - mu_b) / mu_b, which is exact in that
+    range, instead of a difference of two logs.
+    """
+    mu, u = eig
+    live = mu > SPECTRAL_FLOOR
+    m = np.where(live, mu, 1.0)
+    log_m = np.log(m)
+    delta = np.subtract.outer(m, m)
+    delta /= m
+    weight = np.subtract.outer(log_m, log_m)
+    np.log1p(delta, out=weight, where=np.abs(delta) < 0.5)
+    same = delta == 0.0
+    weight[same] = delta[same] = 1.0
+    weight /= delta
+    del delta, same
+    weight *= m[:, None]
+    weight[~live] = 0.0
+    weight[:, ~live] = 0.0
+
+    def product(v: np.ndarray) -> np.ndarray:
+        x = u.T @ (u * (v / q)[:, None])
+        x *= weight
+        return -np.einsum("ij,ij->i", u @ x, u) / q
+
+    return product
+
+
+def _tangent_cg(apply, rhs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Conjugate gradients for apply(s) = rhs on the subspace {q.s = 0}.
+
+    Stops once the projected residual falls to _CG_RTOL of its start, after n
+    steps, or at the first step that does not lower the model
+    s.apply(s) / 2 - rhs.s, keeping the steps before it: on a nearly singular
+    operator (rows of K that repeat) the rounding left in the residual can
+    otherwise send the iterates off without bound.  Each search direction is
+    projected again, since a long step along a direction of tiny curvature
+    would carry the rounding of the last projection off the subspace.
+    """
+    def project(v):
+        return v - q * (float(q @ v) / float(q @ q))
+
+    b = project(rhs)
+    r, p, s, bs = b, b, np.zeros_like(b), np.zeros_like(b)
+    rr, model = float(b @ b), 0.0
+    stop = _CG_RTOL * _CG_RTOL * rr
+    for _ in range(q.size):
+        bp = apply(p)
+        curvature = float(p @ bp)
+        if not curvature > 0.0:
+            break
+        alpha = rr / curvature
+        s_next, bs_next = s + alpha * p, bs + alpha * bp
+        model_next = float(s_next @ (0.5 * bs_next - b))
+        if not model_next < model:
+            break
+        s, bs, model = s_next, bs_next, model_next
+        r = r - alpha * project(bp)
+        rr, rr_old = float(r @ r), rr
+        if rr <= stop:
+            break
+        p = project(r + (rr / rr_old) * p)
+    return s
+
+
+def _newton_step(k, q0, at, lam, g):
+    """Safeguarded Newton step from ``at`` on kd(q) - lam * H(q), whose gradient
+    is ``g``; None where it fails.
+
+    The direction is affine-scaled, d = q o s: s minimizes the model
+    (q o g).s + s.B s / 2, B = Q (2K - lam * Hessian of H) Q with Q = diag(q),
+    over {q.s = 0}, by conjugate gradients.  Each product with B is one
+    product with K and the two GEMMs of ``_vne_hessian``; no eigensolve.  The
+    step starts at min(1, _TO_BOUNDARY times the largest step that stays on
+    the simplex) and halves at most _NEWTON_BACKTRACKS times until the
+    Armijo test with slope fraction _ARMIJO passes; each candidate is solved
+    once with ``eigh``.  None for a direction that does not descend or a step
+    that no candidate accepts.
+    """
+    q = at.q.weights
+    hess_h = _vne_hessian(q, at.eig)
+    s = _tangent_cg(lambda v: q * (2.0 * (k.values @ (q * v)) - lam * hess_h(q * v)), -q * g, q)
+    del hess_h  # its n x n weights are not needed by the candidate solves
+    d = q * s
+    slope = float(g @ d)
+    if not (slope < 0.0 and s.min() < 0.0):
+        return None
+    step = min(1.0, _TO_BOUNDARY / -float(s.min()))
+    bar = at.kd - lam * at.h
+    for _ in range(_NEWTON_BACKTRACKS + 1):
+        cand = _hold_floor(WeightVector(q + step * d))
+        kd, kd_grad = _kd_and_grad(k, cand, q0)
+        h, eig = _spectrum(weighted_gram(k, cand), vectors=True)
+        if kd - lam * h <= bar + _ARMIJO * step * slope:
+            return _Point(cand, kd, kd_grad, h, eig)
+        step /= 2.0
+    return None
+
+
 def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionResult:
     """KD-projection onto the set {q : H_VNE(q) >= rho} by primal-dual EG.
 
@@ -331,8 +462,14 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
 def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
     """Minimize (q-q0)^T K (q-q0) - lam * H_VNE(q) over the simplex.
 
-    Descent from q0 ensures the objective never increases, hence
-    H(q*) >= H(q0) and KD(q*) <= lam * (H(q*) - H(q0)).
+    A Newton phase (``_newton_step``) runs first and stops with status
+    ``converged`` once the Frank-Wolfe gap g.q - min g <= tol, g the gradient
+    of the objective with H as ``_spectrum`` computes it (``_clamped``).  At
+    its first failed step, or once its gap has not halved over the last
+    _NEWTON_WINDOW steps (affine-scaled steps creep where a weight near the
+    boundary should grow), the EG line search takes over from the same point
+    for the remaining iterations, with its own stops.  Every accepted step
+    descends from q0, hence H(q*) >= H(q0) and KD(q*) <= lam * (H(q*) - H(q0)).
     """
     _check_lambda(lam)
     q0 = WeightVector.uniform(k.n)
@@ -340,25 +477,41 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     before = at.summary
     objective_trace = [at.kd - lam * at.h]
     entropy_trace = [at.h]
+
+    def gradient(at):
+        g = at.kd_grad - lam * vne_gradient(k, at.q, eig=_clamped(at.eig))
+        return g, float(g @ at.q.weights - g.min())
+
     status, iterations = "max_iters", cfg.max_iters
     eta_run = cfg.eta
+    newton, gaps = True, []
     for t in range(cfg.max_iters):
-        new, eta_run = _vne_line_search(k, q0, at, lam, 0.0, eta_run, 0.0, cfg)
-        if new is None:
-            # no descent at floating precision: stationary
-            status, iterations = "converged", t
-            break
+        if newton:
+            g, gap = gradient(at)
+            if gap <= cfg.tol:
+                status, iterations = "converged", t
+                break
+            gaps.append(gap)
+            creeping = len(gaps) > _NEWTON_WINDOW and gap > 0.5 * gaps[-_NEWTON_WINDOW - 1]
+            new = None if creeping else _newton_step(k, q0, at, lam, g)
+            newton = new is not None
+        if not newton:
+            new, eta_run = _vne_line_search(k, q0, at, lam, 0.0, eta_run, 0.0, cfg)
+            if new is None:
+                # no descent at floating precision: stationary
+                status, iterations = "converged", t
+                break
         step_norm = float(np.abs(new.q.weights - at.q.weights).max())
         at = new
         objective_trace.append(at.kd - lam * at.h)
         entropy_trace.append(at.h)
         obj, new_obj = objective_trace[-2:]
-        if (obj - new_obj) / max(abs(obj), 1e-300) <= cfg.tol and step_norm <= cfg.tol:
+        if (not newton and (obj - new_obj) / max(abs(obj), 1e-300) <= cfg.tol
+                and step_norm <= cfg.tol):
             status, iterations = "converged", t + 1
             break
-    g = at.kd_grad - lam * vne_gradient(k, at.q, eig=at.eig)
     return _finish(k, at.q, before, at.summary, objective_trace, entropy_trace, [], status,
-                   iterations, "vne_penalized", float(g @ at.q.weights - g.min()))
+                   iterations, "vne_penalized", gradient(at)[1])
 
 
 def _pivoted_cholesky(a: np.ndarray, tiny: float):

@@ -3,7 +3,8 @@
 Nothing in divkit calls these: each is the plain, direct form of a quantity
 the library computes another way (scalar kernels for ``kernels.cross`` and
 ``kernels.paired``, the Hadamard-square Gram and q^T Ktilde q for the RKE
-solver, the guidance objective for its closed-form gradient, the noised
+solver, the explicit entropy Hessian for the Newton steps' products, the
+guidance objective for its closed-form gradient, the noised
 log-density for the closed-form score), or a small helper for building test
 inputs and reading records back.
 """
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from divkit.dataio import ResultRecord
-from divkit.entropy import WeightVector, _check_dims
+from divkit.entropy import SPECTRAL_FLOOR, WeightVector, _check_dims
 from divkit.errors import NonPositiveBandwidth, ZeroVector
 from divkit.guidance import MixtureSpec2D, NoiseSchedule, _score, _Step
 from divkit.kernels import GramMatrix, KernelSpec, _check_square, _symmetrize, _trusted, cross
@@ -53,12 +54,48 @@ def gram_from_values(values: np.ndarray, spec: KernelSpec | None = None) -> Gram
     return GramMatrix(_symmetrize(np.clip(values, -1.0, 1.0)), spec)
 
 
+def cluster_gram(sizes, within=0.98, across=0.02) -> GramMatrix:
+    """A Gram of consecutive clusters of the given sizes: ``within`` inside a
+    cluster, ``across`` between clusters, 1 on the diagonal."""
+    n = sum(sizes)
+    k = np.full((n, n), across)
+    ofs = 0
+    for m in sizes:
+        k[ofs:ofs + m, ofs:ofs + m] = within
+        ofs += m
+    np.fill_diagonal(k, 1.0)
+    return gram_from_values(k)
+
+
 def hadamard_square(k: GramMatrix) -> GramMatrix:
     """Entrywise square K*K; PSD whenever K is (Schur product), diag stays 1."""
     return _trusted(_symmetrize(k.values * k.values), k.spec)
 
 
 # -- entropy ---------------------------------------------------------------------
+
+def vne_hessian(q: np.ndarray, eig: tuple) -> np.ndarray:
+    """The n x n Hessian of the weighted von Neumann entropy at weights q,
+    from the eigenpairs (mu, U) of A(q), entry by entry:
+
+        -(1/(q_i q_j)) * sum_ab M_ab u_ia u_ib u_ja u_jb,
+        M_ab = mu_a mu_b (log mu_a - log mu_b) / (mu_a - mu_b),  M_aa = mu_a,
+
+    with M 0 wherever an eigenvalue is at or below SPECTRAL_FLOOR.  Holds an
+    n^3 temporary.
+    """
+    mu, u = eig
+    live = mu > SPECTRAL_FLOOR
+    m = np.zeros((mu.size, mu.size))
+    for a in np.flatnonzero(live):
+        for b in np.flatnonzero(live):
+            if mu[a] == mu[b]:
+                m[a, b] = mu[a]
+            else:
+                m[a, b] = mu[a] * mu[b] * (math.log(mu[a]) - math.log(mu[b])) / (mu[a] - mu[b])
+    pairs = u[:, :, None] * u[:, None, :]
+    return -np.einsum("iab,ab,jab->ij", pairs, m, pairs) / np.outer(q, q)
+
 
 def inverse_rke_weighted(k2: GramMatrix, q: WeightVector) -> float:
     """q^T Ktilde q for a Hadamard-square Gram Ktilde; in (0, 1].

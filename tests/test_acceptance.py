@@ -55,23 +55,12 @@ from divkit.projection import (
     project_vendi_penalized,
     project_vne,
 )
-from oracles import gram_from_values, noised_log_density, noised_mixture_score
+from oracles import cluster_gram, gram_from_values, noised_log_density, noised_mixture_score
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def cluster_gram(sizes, within=0.98, across=0.02):
-    n = sum(sizes)
-    k = np.full((n, n), across)
-    ofs = 0
-    for m in sizes:
-        k[ofs:ofs + m, ofs:ofs + m] = within
-        ofs += m
-    np.fill_diagonal(k, 1.0)
-    return gram_from_values(k)
 
 
 def block_weights(a, m1, m2):

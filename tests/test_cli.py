@@ -207,6 +207,7 @@ def test_project_command_weights_sum_to_one(tmp_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     rec = read_record(next(out.glob("project-*/record.json")))
     assert rec.payload["projection"]["vendi_after"] >= rec.payload["projection"]["vendi_before"]
+    assert rec.payload["projection"]["status"] == "converged"
 
 
 def test_project_command_warns_when_not_converged(tmp_path, capsys):
@@ -574,7 +575,7 @@ GOLDEN = {
     "vne_constrained": ("project-fff50837f742",
                           "5eab62bd2e57d6703d0aff04a47984e23f92c7a8393bb207247924d84dd58198"),
     "vne_penalized": ("project-937cde0fe4ce",
-                        "2c5fbb67e3636a767f630dc2138448c17d2178152d6864e2c45227741b3f5087"),
+                        "29ee18c88c440bacce4334069aa78f8ca1f1166cbd7c91ec5bf340981873ddc5"),
     "rke_penalized": ("project-8b87ffe02926",
                         "5ac7c6741aaae26fea7fad4f0014d91285af91bceebdd814e3a5d5db6a05da28"),
     "grid": ("guide-31f0284026f0",

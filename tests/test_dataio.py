@@ -62,6 +62,26 @@ def test_csv_nan_rejected(tmp_path):
     assert err.value.row == 1 and err.value.col == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_load_scans_for_non_finite_entries_once(tmp_path, monkeypatch, fmt):
+    p = tmp_path / f"x.{fmt}"
+    save_embeddings(EmbeddingSet(np.arange(6.0).reshape(3, 2)), str(p), fmt)
+    scans = []
+    real = dataio._check_finite
+    monkeypatch.setattr(dataio, "_check_finite",
+                        lambda arr, where: scans.append(where) or real(arr, where))
+    load_embeddings(str(p))
+    assert scans == ["x." + fmt]
+
+
+def test_binary_nan_names_the_path(tmp_path):
+    p = tmp_path / "x.embd"
+    dataio._write_container(str(p), dataio._MAGIC_EMBD, np.array([[1.0, 2.0], [np.inf, 4.0]]))
+    with pytest.raises(NonFiniteEntry, match=f"row 1, column 0 in {p}$") as err:
+        load_embeddings(str(p))
+    assert err.value.row == 1 and err.value.col == 0
+
+
 def test_csv_empty(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("# only a header\n")

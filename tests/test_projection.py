@@ -12,20 +12,31 @@ import divkit.projection
 
 from divkit.dataio import EmbeddingSet
 from divkit.discrepancy import kd_fixed_support
-from divkit.entropy import WeightVector, vne_weighted
+from divkit.entropy import WeightVector, _spectrum, vne_gradient, vne_weighted, weighted_gram
 from divkit.errors import BadArguments
 from divkit.kernels import KernelSpec, gram
 from divkit.projection import (
+    _NEWTON_WINDOW,
     ProjectionConfig,
     _border,
+    _clamped,
     _drop,
+    _kd_and_grad,
     _pivoted_cholesky,
+    _Point,
+    _vne_hessian,
     eg_step,
     project_rke_penalized,
     project_vendi_penalized,
     project_vne,
 )
-from oracles import gram_from_values, hadamard_square, inverse_rke_weighted
+from oracles import (
+    cluster_gram,
+    gram_from_values,
+    hadamard_square,
+    inverse_rke_weighted,
+    vne_hessian,
+)
 
 
 def two_block_gram(m1, m2, within=0.99, across=0.01):
@@ -367,13 +378,14 @@ def test_penalized_modes_solve_each_evaluated_point_once(monkeypatch, mode):
     # Vendi summaries are the only eigvalsh calls
     assert counts.get("eigvalsh", 0) == (2 if mode == "rke_penalized" else 0)
     if mode != "rke_penalized":
-        # q0 and each candidate that survives the tangent screen are one eigh
-        # each, and the gradients reuse those eigenpairs
+        # q0, each Newton candidate and each EG candidate that survives the
+        # tangent screen are one eigh each; the gradients, the Hessian
+        # products and the next step reuse those eigenpairs
         survivors = counts["_spectrum"] - 1
         assert counts["eigh"] == 1 + survivors
-        assert survivors < counts["eg_step"]
-        if mode == "vne_penalized":
-            assert res.iterations <= survivors
+        assert res.iterations <= survivors
+        if mode == "vne_constrained":
+            assert survivors < counts["eg_step"]
     else:
         # no eigensolve inside the active-set loop; the support changed and
         # the stop is certified by the Frank-Wolfe gap
@@ -422,6 +434,9 @@ def test_tangent_screen_changes_no_iterate(monkeypatch, mode, clamped):
         counts = {}
         _counting(monkeypatch, counts, divkit.projection, "_spectrum")
         if mode == "vne_penalized":
+            # the screen belongs to the EG line search: fail the first Newton
+            # step, so the whole solve is the EG phase
+            monkeypatch.setattr(divkit.projection, "_newton_step", lambda *args: None)
             res = project_vendi_penalized(k, 0.05, ProjectionConfig(max_iters=150))
         else:
             res = project_vne(k, rho, ProjectionConfig(max_iters=150))
@@ -635,3 +650,132 @@ def test_converged_solve_logs_nothing(caplog):
                                       ProjectionConfig())
     assert res.status == "converged"
     assert not [r for r in caplog.records if r.name == "divkit"]
+
+
+# -- the Newton phase of vne_penalized -----------------------------------------------
+
+
+def _interior_instance(rng, n, d):
+    k = gram(EmbeddingSet(rng.normal(size=(n, d))), KernelSpec("gaussian", 1.5))
+    raw = rng.dirichlet(np.full(n, 2.0))
+    q = WeightVector((raw + 0.02) / (raw + 0.02).sum())
+    return k, q, _spectrum(weighted_gram(k, q), vectors=True)[1]
+
+
+def test_vne_hessian_matches_gradient_differences():
+    # criterion 6's family: interior weights, central differences of the
+    # gradient along unit simplex tangents
+    rng = np.random.default_rng(6)
+    worst, h = 0.0, 1e-6
+    for _ in range(40):
+        k, q, eig = _interior_instance(rng, int(rng.integers(5, 31)), int(rng.integers(2, 7)))
+        v = rng.normal(size=k.n)
+        v -= v.mean()
+        v /= np.linalg.norm(v)
+        fd = (vne_gradient(k, WeightVector(q.weights + h * v))
+              - vne_gradient(k, WeightVector(q.weights - h * v))) / (2.0 * h)
+        hv = _vne_hessian(q.weights, eig)(v)
+        worst = max(worst, float(np.linalg.norm(hv - fd) / np.linalg.norm(fd)))
+    assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("case", ["interior", "clamped"])
+def test_vne_hessian_matches_explicit_oracle(case):
+    rng = np.random.default_rng(7)
+    if case == "interior":
+        k, q, eig = _interior_instance(rng, 24, 3)
+    else:  # eigenvalues far under SPECTRAL_FLOOR: their Daleckii-Krein weights are 0
+        k = _clamped_gram()
+        q = WeightVector(rng.dirichlet(np.ones(k.n)))
+        eig = _spectrum(weighted_gram(k, q), vectors=True)[1]
+        assert (eig[0] <= 1e-12).sum() >= 3
+    full = vne_hessian(q.weights, eig)
+    product = _vne_hessian(q.weights, eig)
+    for v in rng.normal(size=(5, k.n)):
+        ref = full @ v
+        assert np.linalg.norm(product(v) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _cli_instance_gram():
+    """The 16 points of tests/test_cli.py::test_project_command_weights_sum_to_one."""
+    rng = np.random.default_rng(3)
+    x = np.vstack([rng.normal(size=(12, 3)) * 0.2, rng.normal(size=(4, 3)) * 0.2 + 8.0])
+    return gram(EmbeddingSet(x), KernelSpec("gaussian", 1.0))
+
+
+def _vne_penalized_objective(k, lam, q):
+    return kd_fixed_support(k, q, WeightVector.uniform(k.n)) - lam * vne_weighted(k, q)
+
+
+@pytest.mark.parametrize("case, lam, most", [
+    ("benchmark", 0.01, 10), ("benchmark-1", 0.01, 10), ("benchmark-2", 0.01, 10),
+    ("criterion-8", 0.01, 10), ("cli", 0.01, None), ("cli", 0.1, None), ("cli", 1.0, None)])
+def test_vne_penalized_newton_phase_stops_certified(monkeypatch, case, lam, most):
+    if case.startswith("benchmark"):  # the benchmark's vne_penalized solve, jitter none/1/2
+        k = _benchmark_family_gram(n=80, jitter=int(case[-1]) if "-" in case else None)
+    elif case == "criterion-8":
+        k = cluster_gram([128, 64, 32, 16, 8, 4, 2, 1])
+    else:
+        k = _cli_instance_gram()
+    counts = {}
+    _counting(monkeypatch, counts, divkit.projection, "_vne_line_search")
+    cfg = ProjectionConfig()
+    res = project_vendi_penalized(k, lam, cfg)
+    assert res.status == "converged" and res.gap <= cfg.tol
+    assert counts.get("_vne_line_search", 0) == 0  # the Newton phase's own stop
+    if most is not None:
+        assert res.iterations <= most
+    # the gap is that of the traced objective at q*, and it bounds the
+    # objective's excess over any other weighting
+    q = res.q_star
+    eig = _spectrum(weighted_gram(k, q), vectors=True)[1]
+    g = 2.0 * k.values @ (q.weights - 1.0 / k.n) - lam * vne_gradient(k, q, eig=_clamped(eig))
+    assert abs(float(g @ q.weights - g.min()) - res.gap) <= 1e-12
+    best = _vne_penalized_objective(k, lam, q)
+    assert res.objective_trace[-1] == pytest.approx(best, rel=1e-12, abs=1e-15)
+    rng = np.random.default_rng(1)
+    for p in rng.dirichlet(np.full(k.n, 0.5), size=5):
+        assert best <= _vne_penalized_objective(k, lam, WeightVector(p)) + res.gap + 1e-12
+
+
+def test_newton_phase_hands_over_to_the_line_search(monkeypatch):
+    # on this clustered Gram the Newton phase creeps along the boundary: its
+    # gap stops halving and the EG line search finishes the solve
+    calls = []
+    for name in ("_newton_step", "_vne_line_search"):
+        real = getattr(divkit.projection, name)
+        monkeypatch.setattr(divkit.projection, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    res = project_vendi_penalized(_cluster_gram(), 0.05, ProjectionConfig())
+    newton = calls.count("_newton_step")
+    assert newton >= _NEWTON_WINDOW
+    assert calls[newton:] == ["_vne_line_search"] * (len(calls) - newton)
+    assert len(calls) > newton and res.status == "converged"
+    assert len(res.objective_trace) == res.iterations + 1
+    assert (np.diff(res.objective_trace) <= 1e-12).all()
+
+
+def test_newton_step_holds_no_cubic_temporary(monkeypatch):
+    import tracemalloc
+
+    n, lam = 255, 0.01
+    k = _benchmark_family_gram(n=n)
+    q0 = WeightVector.uniform(n)
+    at = _Point(q0, *_kd_and_grad(k, q0, q0), *_spectrum(weighted_gram(k, q0), vectors=True))
+    g = at.kd_grad - lam * vne_gradient(k, q0, eig=at.eig)
+    at_solve = []
+    solver = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: at_solve.append(tracemalloc.get_traced_memory()[0]) or solver(a))
+    tracemalloc.start()
+    try:
+        new = divkit.projection._newton_step(k, q0, at, lam, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new is not None and len(at_solve) == 1
+    # a few n x n buffers (the Daleckii-Krein weights, a GEMM operand and
+    # product); the explicit Hessian's n^3 temporary would be 132 MB
+    assert peak <= 6 * 8 * n * n
+    # the weights are freed before the candidate's eigensolve: A(c) alone
+    assert max(at_solve) <= 1.1 * 8 * n * n
