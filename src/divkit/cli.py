@@ -281,8 +281,7 @@ def _prepare_project(c: dict):
              if from_embeddings else load_gram(path))
         result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
         if result.status != "converged":
-            print(f"divkit: warning: {mode} projection stopped with status {result.status} "
-                  f"after {result.iterations} iterations", file=sys.stderr)
+            print(f"divkit: warning: {projection._stop_message(result)}", file=sys.stderr)
         weights_text = "\n".join(dataio.format_float(w) for w in result.q_star.weights) + "\n"
         dataio.write_text(os.path.join(out_dir, "weights.txt"), weights_text)
         return {"projection": result.to_payload()}

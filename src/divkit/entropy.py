@@ -17,12 +17,14 @@ oracle; it holds the Gram, divided by n in place, and LAPACK's copy.
 Every entropy (each score, each weighted entropy, and the eigenpairs each
 projection step and gradient use) passes one gate, ``_spectrum``: it checks
 the shape and the unit trace, solves with ``_eigensolve``, checks that the
-matrix is PSD and sums -lam*log(lam) over the clamped spectrum.  Only the
-Frechet distance's covariance roots, not unit-trace, call ``_eigensolve``
-directly.  In place on the array it is handed (a buffer the entry point
-built, never the caller's), ``_eigensolve`` symmetrizes it and sets each
-entry with |a_ij| < eps^2 * max|a| (eps = float64 machine epsilon) to exactly
-0 before LAPACK sees it.  Well-separated clusters under a narrow Gaussian
+matrix is PSD and sums -lam*log(lam) over the clamped spectrum.  The weighted
+entropy's gradient and Hessian product keep its one rule for which
+eigenvalues count: none at or below SPECTRAL_FLOOR.  Only the Frechet
+distance's covariance roots, not unit-trace, call ``_eigensolve`` directly.
+In place on the array it is handed (a buffer the entry point built, never
+the caller's), ``_eigensolve`` symmetrizes it and sets each entry with
+|a_ij| < eps^2 * max|a| (eps = float64 machine epsilon) to exactly 0 before
+LAPACK sees it.  Well-separated clusters under a narrow Gaussian
 kernel give Grams with entries of 1e-87 and below, whose products in the
 tridiagonal reduction fall into subnormal arithmetic and slow the solve
 3-14x.  By Weyl's inequality the flush moves each eigenvalue by at most
@@ -266,11 +268,14 @@ def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np
     Evaluated in the eigenbasis of A(q) = diag(sqrt(q)) K diag(sqrt(q)):
     with A = U diag(lam) U^T the i-th component is
 
-        g_i = -(1/q_i) * sum_j U_ij^2 * lam_j * (log(max(lam_j, SPECTRAL_FLOOR)) + 1),
+        g_i = -(1/q_i) * sum_j U_ij^2 * lam_j * (log(lam_j) + 1),
 
     which reproduces the quadratic form of the i-th kernel feature against
-    log(C(q)) + I.  Matches central finite differences along simplex tangent
-    directions to relative 1e-5 at interior q.
+    log(C(q)) + I.  The sum runs over the eigenvalues above SPECTRAL_FLOOR
+    only, those that ``_spectrum`` counts, so this is the exact gradient of
+    that entropy wherever no eigenvalue sits on the floor.  Matches central
+    finite differences along simplex tangent directions to relative 1e-5 at
+    interior q.
 
     Weights at or below WEIGHT_FLOOR take the analytically continued
     limit with the floor substituted for q_i in the division; components with
@@ -279,8 +284,47 @@ def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np
     """
     _check_dims(k, q)
     lam, u = _spectrum(weighted_gram(k, q), vectors=True)[1] if eig is None else eig
-    lam_pos = np.maximum(lam, 0.0)
-    log_term = np.log(np.maximum(lam, SPECTRAL_FLOOR)) + 1.0
-    mass = (u * u) @ (lam_pos * log_term)
+    live = lam > SPECTRAL_FLOOR
+    lam_live = np.where(live, lam, 0.0)
+    log_term = np.log(np.where(live, lam, 1.0)) + 1.0
+    mass = (u * u) @ (lam_live * log_term)
     return -mass / np.maximum(q.weights, WEIGHT_FLOOR)
 
+
+def _vne_hessian(q: np.ndarray, eig: tuple):
+    """The product v -> (Hessian of H at q) v, from the eigenpairs (mu, U) of A(q).
+
+    H(q) = -tr(C log C) with C(q) = Phi^T diag(q) Phi linear in q (K = Phi Phi^T),
+    and the Daleckii-Krein formula for the derivative of log C gives
+
+        d2H/dq_i dq_j = -(1/(q_i q_j)) * sum_ab M_ab u_ia u_ib u_ja u_jb,
+        M_ab = mu_a mu_b (log mu_a - log mu_b) / (mu_a - mu_b),  M_aa = mu_a,
+
+    so the product is -diag(U (M o X) U^T) / q with X = U^T diag(v/q) U: two
+    GEMMs, and no temporary larger than n x n.  M is 0 where either eigenvalue
+    is at or below SPECTRAL_FLOOR, as those carry no entropy.  Close pairs take
+    the log ratio from log1p of (mu_a - mu_b) / mu_b, which is exact in that
+    range, instead of a difference of two logs.
+    """
+    mu, u = eig
+    live = mu > SPECTRAL_FLOOR
+    m = np.where(live, mu, 1.0)
+    log_m = np.log(m)
+    delta = np.subtract.outer(m, m)
+    delta /= m
+    weight = np.subtract.outer(log_m, log_m)
+    np.log1p(delta, out=weight, where=np.abs(delta) < 0.5)
+    same = delta == 0.0
+    weight[same] = delta[same] = 1.0
+    weight /= delta
+    del delta, same
+    weight *= m[:, None]
+    weight[~live] = 0.0
+    weight[:, ~live] = 0.0
+
+    def product(v: np.ndarray) -> np.ndarray:
+        x = u.T @ (u * (v / q)[:, None])
+        x *= weight
+        return -np.einsum("ij,ij->i", u @ x, u) / q
+
+    return product

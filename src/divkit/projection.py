@@ -9,14 +9,14 @@ Three simplex programs over the weights q of a reweighted empirical measure:
   Ktilde the entrywise square of K; a convex quadratic program, solved exactly
   by an active-set method on an inverse Cholesky factor, in numpy alone.
 
-q0 is always uniform.  The VNE modes share one exponentiated-gradient (KL
-mirror descent) line search.  vne_penalized runs a safeguarded Newton phase
-before it: affine-scaled directions from conjugate gradients on Hessian-vector
-products (Daleckii-Krein, two GEMMs each, no eigensolve), an Armijo
-backtrack, and a stop on the Frank-Wolfe gap; the EG line search takes over
-at its first failed step, or once its gap stops halving.  Penalized
-objectives are convex, so their traces never increase, and both report the
-Frank-Wolfe gap at q*.
+q0 is always uniform.  vne_constrained takes exponentiated-gradient (KL
+mirror descent) steps with a backtracking line search.  vne_penalized takes
+safeguarded Newton steps: affine-scaled directions from conjugate gradients on
+Hessian-vector products (Daleckii-Krein, two GEMMs each, no eigensolve), an
+Armijo backtrack, and a stop on the Frank-Wolfe gap, or status ``stalled``
+where the steps fail or stop closing the gap.  Penalized objectives are
+convex, so their traces never increase, and both report the Frank-Wolfe gap
+at q*.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .entropy import (
     WEIGHT_FLOOR,
     WeightVector,
     _spectrum,
+    _vne_hessian,
     vne_gradient,
     vne_weighted,
     weighted_gram,
@@ -60,10 +61,10 @@ class ProjectionConfig:
     """Solver knobs shared by the three projection modes.
 
     Each solver takes its entropy target or lambda as an argument.  ``eta``
-    is the first EG step of the VNE modes (for vne_penalized, of the EG phase
-    that follows its Newton phase) and ``gamma`` applies to vne_constrained
-    only.  ``max_iters`` bounds the iterations: Newton and EG steps together
-    for vne_penalized, support changes for rke_penalized.
+    (the first EG step) and ``gamma`` (the dual step) act on vne_constrained
+    only.  ``max_iters`` bounds the iterations: primal-dual rounds for
+    vne_constrained, Newton steps for vne_penalized, support changes for
+    rke_penalized.
     """
 
     eta: float = 0.1
@@ -82,6 +83,9 @@ class ProjectionConfig:
 class ProjectionResult:
     """Optimized weights plus per-iteration traces and summary scores.
 
+    ``status`` is ``converged`` (for the penalized modes: gap <= tol),
+    ``max_iters``, ``stalled`` (vne_penalized: its Newton steps failed or
+    stopped closing the gap) or ``infeasible`` (vne_constrained).
     ``entropy_trace`` records the von Neumann entropy for the VNE modes and
     the order-2 entropy log(1 / q^T Ktilde q) for rke_penalized (keeping that
     mode free of eigendecompositions).  ``gap`` (not in the payload) is the
@@ -169,11 +173,8 @@ def _finish(
     gap: float | None = None,
 ) -> ProjectionResult:
     """``before`` and ``after`` are the solver's own (H, q^T Ktilde q) at q0 and q_star."""
-    if status != "converged":
-        _LOG.warning("%s projection stopped with status %s after %d iterations",
-                     mode, status, iterations)
     (h0, inv_rke0), (h_star, inv_rke_star) = before, after
-    return ProjectionResult(
+    result = ProjectionResult(
         q_star=q_star,
         objective_trace=tuple(objective_trace),
         entropy_trace=tuple(entropy_trace),
@@ -188,6 +189,17 @@ def _finish(
         rke_after=1.0 / inv_rke_star,
         gap=gap,
     )
+    if status != "converged":
+        _LOG.warning("%s", _stop_message(result))
+    return result
+
+
+def _stop_message(result: ProjectionResult) -> str:
+    """Why a solve that did not converge stopped, and how far from a
+    certificate: its Frank-Wolfe gap, where it has one."""
+    text = (f"{result.mode} projection stopped with status {result.status} "
+            f"after {result.iterations} iterations")
+    return text if result.gap is None else f"{text}, Frank-Wolfe gap {result.gap:.3e}"
 
 
 def _check_lambda(lam: float) -> None:
@@ -261,53 +273,6 @@ def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
                 return _Point(cand, kd, kd_grad, h, eig), grown
         eta /= 2.0
     return None, cfg.eta
-
-
-def _clamped(eig: tuple) -> tuple:
-    """``eig`` with its eigenvalues at or below SPECTRAL_FLOOR set to 0, as the
-    entropy of ``_spectrum`` counts them: ``vne_gradient`` of these eigenpairs
-    is the gradient of that entropy."""
-    mu, u = eig
-    return np.where(mu > SPECTRAL_FLOOR, mu, 0.0), u
-
-
-def _vne_hessian(q: np.ndarray, eig: tuple):
-    """The product v -> (Hessian of H at q) v, from the eigenpairs (mu, U) of A(q).
-
-    H(q) = -tr(C log C) with C(q) = Phi^T diag(q) Phi linear in q (K = Phi Phi^T),
-    and the Daleckii-Krein formula for the derivative of log C gives
-
-        d2H/dq_i dq_j = -(1/(q_i q_j)) * sum_ab M_ab u_ia u_ib u_ja u_jb,
-        M_ab = mu_a mu_b (log mu_a - log mu_b) / (mu_a - mu_b),  M_aa = mu_a,
-
-    so the product is -diag(U (M o X) U^T) / q with X = U^T diag(v/q) U: two
-    GEMMs, and no temporary larger than n x n.  M is 0 where either eigenvalue
-    is at or below SPECTRAL_FLOOR, as those carry no entropy.  Close pairs take
-    the log ratio from log1p of (mu_a - mu_b) / mu_b, which is exact in that
-    range, instead of a difference of two logs.
-    """
-    mu, u = eig
-    live = mu > SPECTRAL_FLOOR
-    m = np.where(live, mu, 1.0)
-    log_m = np.log(m)
-    delta = np.subtract.outer(m, m)
-    delta /= m
-    weight = np.subtract.outer(log_m, log_m)
-    np.log1p(delta, out=weight, where=np.abs(delta) < 0.5)
-    same = delta == 0.0
-    weight[same] = delta[same] = 1.0
-    weight /= delta
-    del delta, same
-    weight *= m[:, None]
-    weight[~live] = 0.0
-    weight[:, ~live] = 0.0
-
-    def product(v: np.ndarray) -> np.ndarray:
-        x = u.T @ (u * (v / q)[:, None])
-        x *= weight
-        return -np.einsum("ij,ij->i", u @ x, u) / q
-
-    return product
 
 
 def _tangent_cg(apply, rhs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -460,16 +425,16 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
 
 
 def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
-    """Minimize (q-q0)^T K (q-q0) - lam * H_VNE(q) over the simplex.
+    """Minimize (q-q0)^T K (q-q0) - lam * H_VNE(q) over the simplex by Newton steps.
 
-    A Newton phase (``_newton_step``) runs first and stops with status
-    ``converged`` once the Frank-Wolfe gap g.q - min g <= tol, g the gradient
-    of the objective with H as ``_spectrum`` computes it (``_clamped``).  At
-    its first failed step, or once its gap has not halved over the last
+    Each iteration takes g = kd_grad - lam * ``vne_gradient``, the gradient
+    of the traced objective, and stops with status ``converged`` once the
+    Frank-Wolfe gap g.q - min g <= tol; otherwise ``_newton_step`` moves.
+    A step that fails, or a gap that has not halved over the last
     _NEWTON_WINDOW steps (affine-scaled steps creep where a weight near the
-    boundary should grow), the EG line search takes over from the same point
-    for the remaining iterations, with its own stops.  Every accepted step
-    descends from q0, hence H(q*) >= H(q0) and KD(q*) <= lam * (H(q*) - H(q0)).
+    boundary should grow), ends the solve with status ``stalled`` and the gap
+    it reached.  Every accepted step descends from q0, hence H(q*) >= H(q0)
+    and KD(q*) <= lam * (H(q*) - H(q0)).
     """
     _check_lambda(lam)
     q0 = WeightVector.uniform(k.n)
@@ -479,37 +444,25 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
     entropy_trace = [at.h]
 
     def gradient(at):
-        g = at.kd_grad - lam * vne_gradient(k, at.q, eig=_clamped(at.eig))
+        g = at.kd_grad - lam * vne_gradient(k, at.q, eig=at.eig)
         return g, float(g @ at.q.weights - g.min())
 
     status, iterations = "max_iters", cfg.max_iters
-    eta_run = cfg.eta
-    newton, gaps = True, []
+    gaps = []
     for t in range(cfg.max_iters):
-        if newton:
-            g, gap = gradient(at)
-            if gap <= cfg.tol:
-                status, iterations = "converged", t
-                break
-            gaps.append(gap)
-            creeping = len(gaps) > _NEWTON_WINDOW and gap > 0.5 * gaps[-_NEWTON_WINDOW - 1]
-            new = None if creeping else _newton_step(k, q0, at, lam, g)
-            newton = new is not None
-        if not newton:
-            new, eta_run = _vne_line_search(k, q0, at, lam, 0.0, eta_run, 0.0, cfg)
-            if new is None:
-                # no descent at floating precision: stationary
-                status, iterations = "converged", t
-                break
-        step_norm = float(np.abs(new.q.weights - at.q.weights).max())
+        g, gap = gradient(at)
+        if gap <= cfg.tol:
+            status, iterations = "converged", t
+            break
+        gaps.append(gap)
+        creeping = len(gaps) > _NEWTON_WINDOW and gap > 0.5 * gaps[-_NEWTON_WINDOW - 1]
+        new = None if creeping else _newton_step(k, q0, at, lam, g)
+        if new is None:
+            status, iterations = "stalled", t
+            break
         at = new
         objective_trace.append(at.kd - lam * at.h)
         entropy_trace.append(at.h)
-        obj, new_obj = objective_trace[-2:]
-        if (not newton and (obj - new_obj) / max(abs(obj), 1e-300) <= cfg.tol
-                and step_norm <= cfg.tol):
-            status, iterations = "converged", t + 1
-            break
     return _finish(k, at.q, before, at.summary, objective_trace, entropy_trace, [], status,
                    iterations, "vne_penalized", gradient(at)[1])
 

@@ -3,10 +3,10 @@
 Nothing in divkit calls these: each is the plain, direct form of a quantity
 the library computes another way (scalar kernels for ``kernels.cross`` and
 ``kernels.paired``, the Hadamard-square Gram and q^T Ktilde q for the RKE
-solver, the explicit entropy Hessian for the Newton steps' products, the
-guidance objective for its closed-form gradient, the noised
-log-density for the closed-form score), or a small helper for building test
-inputs and reading records back.
+solver, the entropy gradient over live eigenpairs, the explicit entropy
+Hessian for the Newton steps' products, the guidance objective for its
+closed-form gradient, the noised log-density for the closed-form score), or a
+small helper for building test inputs and reading records back.
 """
 
 from __future__ import annotations
@@ -73,6 +73,24 @@ def hadamard_square(k: GramMatrix) -> GramMatrix:
 
 
 # -- entropy ---------------------------------------------------------------------
+
+def live_vne_gradient(k: GramMatrix, q: WeightVector) -> np.ndarray:
+    """The gradient of the weighted von Neumann entropy at weights q, summed
+    eigenpair by eigenpair over the eigenvalues of A(q) = diag(sqrt(q)) K
+    diag(sqrt(q)) above SPECTRAL_FLOOR, the ones the entropy counts:
+
+        g_i = -(1/q_i) * sum_{j live} U_ij^2 * lam_j * (log(lam_j) + 1).
+
+    For positive weights only.
+    """
+    _check_dims(k, q)
+    root = np.sqrt(q.weights)
+    lam, u = np.linalg.eigh(k.values * np.outer(root, root))
+    g = np.zeros(q.n)
+    for j in np.flatnonzero(lam > SPECTRAL_FLOOR):
+        g -= u[:, j] ** 2 * (lam[j] * (math.log(lam[j]) + 1.0))
+    return g / q.weights
+
 
 def vne_hessian(q: np.ndarray, eig: tuple) -> np.ndarray:
     """The n x n Hessian of the weighted von Neumann entropy at weights q,

@@ -228,7 +228,7 @@ def test_project_command_warns_when_not_converged(tmp_path, capsys):
     assert run_cli(["project", "--config", cfg, "--out", out]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == ["divkit: warning: vne_penalized projection stopped with status "
-                   "max_iters after 3 iterations"]
+                   "max_iters after 3 iterations, Frank-Wolfe gap 1.357e-03"]
     rec = read_record(next(out.glob("project-*/record.json")))
     assert rec.payload["projection"]["status"] == "max_iters"
 
@@ -575,7 +575,7 @@ GOLDEN = {
     "vne_constrained": ("project-fff50837f742",
                           "5eab62bd2e57d6703d0aff04a47984e23f92c7a8393bb207247924d84dd58198"),
     "vne_penalized": ("project-937cde0fe4ce",
-                        "29ee18c88c440bacce4334069aa78f8ca1f1166cbd7c91ec5bf340981873ddc5"),
+                        "733ca2d1ba0dcc0c1366f8bdd76e6dbe303d234e514b14f464703814e3f494e8"),
     "rke_penalized": ("project-8b87ffe02926",
                         "5ac7c6741aaae26fea7fad4f0014d91285af91bceebdd814e3a5d5db6a05da28"),
     "grid": ("guide-31f0284026f0",

@@ -79,3 +79,14 @@ def test_one_spectral_gate():
     assert sites["eigh"] == sites["eigvalsh"] == {"entropy._eigensolve"}
     gated = {s for s in sites["_eigensolve"] if not s.startswith("discrepancy.")}
     assert gated == {"entropy._spectrum"}
+
+
+def test_spectral_floor_is_read_by_entropy_alone():
+    # which eigenvalues count is decided in entropy, next to H, its gradient and
+    # its Hessian product; the tangent screen's rounding bound also needs it
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(name == "SPECTRAL_FLOOR" for name, _ in _references(top)):
+                readers.add(f"{path.stem}.{getattr(top, 'name', None)}")
+    assert {r for r in readers if not r.startswith("entropy.")} == {"projection._screen_slack"}
