@@ -31,6 +31,15 @@ tridiagonal reduction fall into subnormal arithmetic and slow the solve
 n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far below LAPACK's own
 backward error of order n * eps * ||A||_2, so the cutoff is a constant and
 not a setting.
+
+The flush often splits such a Gram: the cube-mixture Grams of the bias lab
+fall apart into one block per occupied vertex.  A matrix that is block
+diagonal up to a permutation has the union of its blocks' spectra as its
+spectrum, so ``_eigensolve`` solves the eigenvalues of each connected
+component of the flushed matrix on its own, O(sum k^3) for blocks of order k
+in place of O(n^3).  The Weyl bound above is on the flushed matrix, which the
+blocks make up exactly, so it holds unchanged; each block's eigenvalues
+carry LAPACK's backward error at that block's order.
 """
 
 from __future__ import annotations
@@ -63,6 +72,41 @@ DEFAULT_SIZE_CAP = 20_000
 #: entries below this times max|a| are flushed to 0 before an eigensolve
 _FLUSH_RATIO = np.finfo(np.float64).eps ** 2
 
+#: the component search reads rows in blocks of about this many entries
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _components(a: np.ndarray) -> list[np.ndarray] | None:
+    """The connected components of the nonzero pattern of the symmetric ``a``,
+    as one (m, k) array of row indices per component order k, ascending in k;
+    None if ``a`` is one component or a component holds more than half its rows.
+
+    Each round gives every row the smallest label among its own and its
+    neighbours', then moves each label to its label's label; a round that
+    changes nothing leaves each row labelled with the first row of its
+    component.  Rows are read in blocks of about ``_BLOCK_ENTRIES`` entries,
+    so no temporary is larger than a block.
+    """
+    n = a.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        for lo in range(0, n, rows):
+            live = a[lo:lo + rows] != 0.0
+            near = np.minimum.reduce(np.broadcast_to(label, live.shape), axis=1, where=live, initial=n)
+            np.minimum(new[lo:lo + rows], near, out=new[lo:lo + rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    size = np.bincount(label)[label]
+    if 2 * size.max() > n:
+        return None
+    order = np.lexsort((label, size))
+    orders, first = np.unique(size[order], return_index=True)
+    return [part.reshape(-1, k) for k, part in zip(orders.tolist(), np.split(order, first[1:]))]
+
 
 def _eigensolve(a: np.ndarray, vectors: bool = False):
     """``eigvalsh`` (or ``eigh``) of the symmetric part of ``a``, flushed.
@@ -72,16 +116,35 @@ def _eigensolve(a: np.ndarray, vectors: bool = False):
     in magnitude become exactly 0 (see the module docstring), so the only copy
     is LAPACK's own; the flush's boolean temporaries are gone before LAPACK
     runs.  Non-finite entries and LAPACK failures surface as ``NumericError``.
+
+    Eigenvalues alone of a matrix the flush split (:func:`_components`) are
+    solved block by block: one stacked ``eigvalsh`` per component order, a
+    lone row's diagonal entry as it is, and the union sorted ascending.  The
+    stacked copies and LAPACK's hold no more than the one copy of order n the
+    whole matrix would take.  A matrix the flush left alone or connected is
+    solved whole, as are eigenvectors.
     """
     _average_transpose(a)
     lo, hi = a.min(), a.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericError("eigendecomposition of a matrix with non-finite entries")
     cutoff = _FLUSH_RATIO * max(hi, -lo)
+    blocks = None
     if lo < cutoff:
+        live = np.count_nonzero(a)
         np.copyto(a, 0.0, where=(a < cutoff) & (a > -cutoff))
+        if not vectors and np.count_nonzero(a) < live:
+            blocks = _components(a)
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        if vectors:
+            return np.linalg.eigh(a)
+        if blocks is None:
+            return np.linalg.eigvalsh(a)
+        return np.sort(np.concatenate([
+            a[idx[:, 0], idx[:, 0]] if idx.shape[1] == 1
+            else np.linalg.eigvalsh(a[idx[:, :, None], idx[:, None, :]]).ravel()
+            for idx in blocks
+        ]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 

@@ -12,7 +12,15 @@ sample to the ones generated before it.  The unguided pass has no coupling,
 so it takes one vectorised reverse step per noise level over all samples.
 Both passes run the same row-independent step from a per-run table of
 schedule constants, and draw each sample's noise from that sample's own
-stream, so with zero guidance they coincide bitwise.
+stream, so with zero guidance they coincide bitwise.  The guided pass takes
+its n*T one-row steps on a leaner path with the same bits: the
+per-component work runs the batched step's numpy operations on preallocated
+arrays shaped as a one-row batch, and the two coordinates are Python floats,
+whose arithmetic is the same IEEE operations in the same order; the update
+formulas (``_update``) are one function for both.
+``test_batched_step_equals_row_steps`` pins the row step against the batched
+one, and ``test_guided_pass_equals_rowwise_reference`` the whole guided pass
+against one that steps one-row arrays through the batched step.
 """
 
 from __future__ import annotations
@@ -216,9 +224,7 @@ def _score(z: np.ndarray, step: _Step) -> np.ndarray:
 
     Every reduction runs along a row's own last axis, and the posterior mean
     is an explicit multiply-and-sum over the components rather than a BLAS
-    matmul, so the bits of a row do not depend on the batch it is in.  The
-    in-place updates and direct ``reduce`` calls only trim per-call overhead,
-    which dominates the one-row steps of the guided pass.
+    matmul, so the bits of a row do not depend on the batch it is in.
     """
     diff = z[..., None, :] - step.centers
     diff *= diff
@@ -232,18 +238,57 @@ def _score(z: np.ndarray, step: _Step) -> np.ndarray:
     return score
 
 
-def _reverse(z: np.ndarray, step: _Step, noise: np.ndarray | None) -> np.ndarray:
-    """One reverse update of a (..., 2) batch: ancestral with ``noise``, else DDIM."""
-    score = _score(z, step)
+def _update(z, score, step: _Step, noise):
+    """The reverse update of ``z`` from its score: ancestral with ``noise``, else DDIM.
+
+    ``z``, ``score`` and ``noise`` are all floats (one coordinate of one row)
+    or all arrays (a batch); both run the same IEEE operations in the same
+    order, so they give the same bits.
+    """
     if noise is None:
         eps_hat = step.eps_coef * score
         x0_hat = (z + step.x0_coef * score) / step.sqrt_ab
         return step.sqrt_ab_prev * x0_hat + step.sqrt_1m_ab_prev * eps_hat
-    out = step.beta * score
-    out += z
-    out /= step.sqrt_alpha
-    out += step.post_std * noise
-    return out
+    return (step.beta * score + z) / step.sqrt_alpha + step.post_std * noise
+
+
+def _reverse(z: np.ndarray, step: _Step, noise: np.ndarray | None) -> np.ndarray:
+    """One reverse update of a (..., 2) batch: ancestral with ``noise``, else DDIM."""
+    return _update(z, _score(z, step), step, noise)
+
+
+def _row_scorer(m: int):
+    """A function (z0, z1, step) -> :func:`_score` of the one row (z0, z1) of
+    a mixture with m components, as two floats.
+
+    The per-component work runs in numpy on buffers made once here: each
+    element goes through the IEEE operations of :func:`_score` in the same
+    order, and the max and the sums over the components reduce arrays of the
+    shapes a one-row batch has, so the bits are the same.  The two
+    coordinates stay Python floats.
+    """
+    z = np.empty(2)
+    z_col = z[:, None]
+    diff = np.empty((2, m))
+    dx, dy = diff
+    resp = np.empty(m)
+    mean = np.empty(2)
+
+    def score(z0: float, z1: float, step: _Step) -> tuple[float, float]:
+        z[0], z[1] = z0, z1
+        np.subtract(z_col, step.centers_t, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(dx, dy, out=resp)
+        np.divide(resp, step.two_var, out=resp)
+        np.subtract(step.log_w, resp, out=resp)
+        np.subtract(resp, np.maximum.reduce(resp), out=resp)
+        np.exp(resp, out=resp)
+        np.divide(resp, np.add.reduce(resp), out=resp)
+        np.multiply(resp, step.centers_t, out=diff)
+        m0, m1 = np.add.reduce(diff, axis=-1, out=mean).tolist()
+        return (m0 - z0) / step.var, (m1 - z1) / step.var
+
+    return score
 
 
 def _noise(rng: RunSeed, index: int, steps: int) -> np.ndarray:
@@ -406,25 +451,30 @@ def _generate(
     bank = np.empty((n_samples * per_sample, 2))
     filled = 0
     table = _step_table(base, sched)
+    eta_t = cfg.eta_t.tolist()
+    row_score = _row_scorer(base.n_modes)
     out = np.empty((n_samples, 2))
     empty_hits = 0
     for i in range(n_samples):
-        noise = _noise(rng, i, steps)
-        z = noise[0]
+        noise = _noise(rng, i, steps).tolist()
+        z0, z1 = noise[0]
         for j, step in enumerate(table):
-            z = _reverse(z, step, noise[j + 1] if stochastic else None)
+            s0, s1 = row_score(z0, z1, step)
+            n0, n1 = noise[j + 1] if stochastic else (None, None)
+            z0, z1 = _update(z0, s0, step, n0), _update(z1, s1, step, n1)
             if j % cfg.apply_every == 0:
-                eta = cfg.eta_t[step.t - 1]
+                eta = eta_t[step.t - 1]
                 if filled == 0:
                     empty_hits += 1
                 elif eta != 0.0:
-                    z = z - eta * irke_gradient(z, bank[:filled], cfg.kernel)
+                    g0, g1 = irke_gradient(np.array((z0, z1)), bank[:filled], cfg.kernel).tolist()
+                    z0, z1 = z0 - eta * g0, z1 - eta * g1
                 if every_k:
-                    bank[filled] = z
+                    bank[filled] = z0, z1
                     filled += 1
-        out[i] = z
+        out[i] = z0, z1
         if not every_k:
-            bank[filled] = z
+            bank[filled] = z0, z1
             filled += 1
     return out, empty_hits
 

@@ -5,8 +5,9 @@ the library computes another way (scalar kernels for ``kernels.cross`` and
 ``kernels.paired``, the Hadamard-square Gram and q^T Ktilde q for the RKE
 solver, the entropy gradient over live eigenpairs, the explicit entropy
 Hessian for the Newton steps' products, the guidance objective for its
-closed-form gradient, the noised log-density for the closed-form score), or a
-small helper for building test inputs and reading records back.
+closed-form gradient, the noised log-density for the closed-form score, the
+guided pass stepping one-row arrays through the batched step), or a small
+helper for building test inputs and reading records back.
 """
 
 from __future__ import annotations
@@ -16,10 +17,20 @@ import math
 
 import numpy as np
 
-from divkit.dataio import ResultRecord
+from divkit.dataio import ResultRecord, RunSeed
 from divkit.entropy import SPECTRAL_FLOOR, WeightVector, _check_dims
 from divkit.errors import NonPositiveBandwidth, ZeroVector
-from divkit.guidance import MixtureSpec2D, NoiseSchedule, _score, _Step
+from divkit.guidance import (
+    GuidanceConfig,
+    MixtureSpec2D,
+    NoiseSchedule,
+    _noise,
+    _reverse,
+    _score,
+    _Step,
+    _step_table,
+    irke_gradient,
+)
 from divkit.kernels import GramMatrix, KernelSpec, _check_square, _symmetrize, _trusted, cross
 
 
@@ -151,6 +162,48 @@ def noised_log_density(z: np.ndarray, t: int, spec: MixtureSpec2D, sched: NoiseS
     logits = step.log_w - sq / step.two_var - math.log(2.0 * math.pi * step.var)
     peak = logits.max()
     return float(peak + np.log(np.exp(logits - peak).sum()))
+
+
+def generate_rowwise(
+    base: MixtureSpec2D,
+    n_samples: int,
+    sched: NoiseSchedule,
+    cfg: GuidanceConfig,
+    rng: RunSeed,
+    stochastic: bool,
+    bank_policy: str,
+) -> tuple[np.ndarray, int]:
+    """The guided pass with each row a (2,) array stepped by the batched
+    ``_reverse``: the bank, the first ``filled`` rows of ``bank``, holds each
+    earlier final under ``all_finals`` and each earlier guided latent under
+    ``every_k_steps``."""
+    steps = sched.steps
+    every_k = bank_policy == "every_k_steps"
+    per_sample = len(range(0, steps, cfg.apply_every)) if every_k else 1
+    bank = np.empty((n_samples * per_sample, 2))
+    filled = 0
+    table = _step_table(base, sched)
+    out = np.empty((n_samples, 2))
+    empty_hits = 0
+    for i in range(n_samples):
+        noise = _noise(rng, i, steps)
+        z = noise[0]
+        for j, step in enumerate(table):
+            z = _reverse(z, step, noise[j + 1] if stochastic else None)
+            if j % cfg.apply_every == 0:
+                eta = cfg.eta_t[step.t - 1]
+                if filled == 0:
+                    empty_hits += 1
+                elif eta != 0.0:
+                    z = z - eta * irke_gradient(z, bank[:filled], cfg.kernel)
+                if every_k:
+                    bank[filled] = z
+                    filled += 1
+        out[i] = z
+        if not every_k:
+            bank[filled] = z
+            filled += 1
+    return out, empty_hits
 
 
 # -- records ---------------------------------------------------------------------

@@ -361,6 +361,43 @@ def test_spectrum_without_sub_rounding_entries_is_plain_eigvalsh(n, d, seed, spr
     assert np.array_equal(_eigensolve(a.copy()), np.linalg.eigvalsh((a + a.T) / 2.0))
 
 
+def flushed(a):
+    """``a`` with the entries the eigensolve flushes set to 0."""
+    a = a.copy()
+    a[np.abs(a) < FLUSH_RATIO * np.abs(a).max()] = 0.0
+    return a
+
+
+def split_matrix(sizes, seed, signed=False):
+    """A unit-trace symmetric matrix whose diagonal blocks have the orders
+    ``sizes``: Gaussian Grams, or f f^T with entries of both signs if
+    ``signed``.  Every other entry is 0 or +-1e-40, below the flush cutoff,
+    and rows and columns are shuffled."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    a = rng.choice([-1e-40, 1e-40], size=(n, n))
+    ofs = 0
+    for m in sizes:
+        if signed:
+            f = rng.normal(size=(m, m))
+            block = f @ f.T
+        else:
+            block = gram(EmbeddingSet(rng.normal(size=(m, 2))), KernelSpec("gaussian", 1.0)).values
+        a[ofs:ofs + m, ofs:ofs + m] = block
+        ofs += m
+    a = (a + a.T) / 2.0
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)] / np.trace(a)
+
+
+def chain_matrix(n=24):
+    """K/n of points 1 apart on a line under bandwidth 0.1: entries exp(-50)
+    to the next point survive the flush, those further out do not, so the
+    flushed matrix is tridiagonal and connected."""
+    k = gram(EmbeddingSet(np.arange(n, dtype=float)[:, None]), KernelSpec("gaussian", 0.1))
+    return k.values / n
+
+
 def test_cube_mixture_log_vendi_matches_blockwise_oracle():
     x, k = cube_mixture_gram()
     vertex = (x.data > 0) @ (1 << np.arange(x.d))
@@ -373,6 +410,35 @@ def test_cube_mixture_log_vendi_matches_blockwise_oracle():
     oracle = min(float(-(live * np.log(live)).sum()), np.log(k.n))
     assert len(np.unique(vertex)) < k.n  # some vertices hold several samples
     assert score_gram(k).log_vendi == pytest.approx(oracle, abs=1e-13)
+    # the spectrum solved component by component is the dense one
+    cases = {
+        "n=1": np.ones((1, 1)),
+        "singletons": split_matrix([1] * 12, 1),
+        "one component": chain_matrix(),
+        "mixed orders": split_matrix([1, 2, 3, 3, 5, 1, 2, 4], 2),
+        "negative entries": split_matrix([2, 3, 1, 4, 3], 3, signed=True),
+        "cube mixture": k.values / k.n,
+    }
+    for name, a in cases.items():
+        dense = np.linalg.eigvalsh(flushed(a))
+        assert np.abs(_eigensolve(a.copy()) - dense).max() <= 1e-13, name
+
+
+def test_split_matrices_are_solved_by_component_order(monkeypatch):
+    orders = []
+    solver = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(a.shape[-1]) or solver(a))
+    x, k = cube_mixture_gram()
+    largest = np.bincount((x.data > 0) @ (1 << np.arange(x.d))).max()
+    score_gram(k)
+    assert orders and max(orders) <= largest < k.n
+    # still one call of order n, with the bits of that call: a matrix the flush
+    # leaves connected, and one with a component of more than half its rows
+    for a in (chain_matrix(), split_matrix([12, 4], 4)):
+        orders.clear()
+        got = _eigensolve(a.copy())
+        assert orders == [a.shape[0]]
+        assert got.tobytes() == solver(flushed(a)).tobytes()
 
 
 # -- cosine scores from the feature factor ---------------------------------------

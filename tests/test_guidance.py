@@ -9,10 +9,13 @@ from divkit.guidance import (
     GuidanceConfig,
     MixtureSpec2D,
     NoiseSchedule,
+    _generate,
     _noise,
     _reverse,
+    _row_scorer,
     _score,
     _step_table,
+    _update,
     count_covered_modes,
     geometric_weights,
     irke_gradient,
@@ -21,7 +24,7 @@ from divkit.guidance import (
     unguided_trajectories,
 )
 from divkit.kernels import KernelSpec
-from oracles import irke_objective, level, noised_log_density
+from oracles import generate_rowwise, irke_objective, level, noised_log_density
 
 KERNEL = KernelSpec("gaussian", 1.0)
 
@@ -164,8 +167,8 @@ def test_reverse_step_reproducible():
     stochastic=st.booleans(),
 )
 def test_batched_step_equals_row_steps(m, t, scale, seed, stochastic):
-    # guided (one row) and unguided (all rows) passes share one step function;
-    # the eta=0 coincidence needs each row's bits independent of the batch
+    # the guided pass steps one row in floats, the unguided pass all rows as
+    # arrays; the eta=0 coincidence needs each row's bits independent of the batch
     spec = MixtureSpec2D.grid(4, 4, 2.0, 0.1).with_weights(geometric_weights(16, 0.5))
     sched = NoiseSchedule.cosine(200)
     z = np.random.default_rng(seed).normal(size=(m, 2)) * scale
@@ -174,13 +177,41 @@ def test_batched_step_equals_row_steps(m, t, scale, seed, stochastic):
     step = _step_table(spec, sched)[sched.steps - t]
     batched = _reverse(z, step, noise)
     assert batched.shape == (m, 2)
-    row = level(spec, sched, t)  # built on its own, as a one-row step would be
-    for i in range(m):
-        row_noise = np.random.default_rng([seed, i]).standard_normal(2) if stochastic else None
-        assert np.array_equal(batched[i], _reverse(z[i], row, row_noise))
     scores = _score(z, step)
+    row = level(spec, sched, t)  # built on its own, as a one-row step would be
+    row_score = _row_scorer(spec.n_modes)
     for i in range(m):
-        assert np.array_equal(scores[i], _score(z[i], row))
+        z0, z1 = z[i].tolist()
+        n0, n1 = (np.random.default_rng([seed, i]).standard_normal(2).tolist() if stochastic
+                  else (None, None))
+        s0, s1 = row_score(z0, z1, row)
+        assert scores[i].tobytes() == np.array([s0, s1]).tobytes()
+        step_row = [_update(z0, s0, row, n0), _update(z1, s1, row, n1)]
+        assert batched[i].tobytes() == np.array(step_row).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    policy=st.sampled_from(["all_finals", "every_k_steps"]),
+    stochastic=st.booleans(),
+    apply_every=st.integers(1, 10),
+    eta=st.sampled_from([0.0, 0.03, 0.05, 0.5]),
+    decay=st.booleans(),
+    n=st.integers(2, 8),
+    steps=st.integers(10, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guided_pass_equals_rowwise_reference(policy, stochastic, apply_every, eta, decay, n,
+                                              steps, seed):
+    spec = MixtureSpec2D.grid(4, 4, 2.0, 0.1).with_weights(geometric_weights(16, 0.5))
+    sched = NoiseSchedule.cosine(steps)
+    make = GuidanceConfig.linear_decay if decay else GuidanceConfig.constant
+    cfg = make(eta, steps, apply_every, KERNEL)
+    args = (spec, n, sched, cfg, RunSeed(seed), stochastic, policy)
+    out, hits = _generate(*args)
+    ref, ref_hits = generate_rowwise(*args)
+    assert out.tobytes() == ref.tobytes()
+    assert hits == ref_hits
 
 
 @settings(max_examples=30, deadline=None)
