@@ -273,6 +273,9 @@ def _prepare_project(c: dict):
         raise UsageError("penalized modes need a 'lambda' value")
     else:
         projection._check_lambda(lam)
+        for key in ("eta", "gamma"):  # read by vne_constrained alone
+            if c[key] != getattr(projection.ProjectionConfig, key):
+                raise UsageError(f"config key {key!r} is read by vne_constrained only, not {mode}")
     pcfg = projection.ProjectionConfig(eta=c["eta"], gamma=c["gamma"], max_iters=c["max_iters"],
                                        tol=c["tol"])
 

@@ -32,14 +32,14 @@ n * eps^2 * max|a| <= (n * eps) * eps * ||A||_2, far below LAPACK's own
 backward error of order n * eps * ||A||_2, so the cutoff is a constant and
 not a setting.
 
-The flush often splits such a Gram: the cube-mixture Grams of the bias lab
-fall apart into one block per occupied vertex.  A matrix that is block
-diagonal up to a permutation has the union of its blocks' spectra as its
-spectrum, so ``_eigensolve`` solves the eigenvalues of each connected
-component of the flushed matrix on its own, O(sum k^3) for blocks of order k
-in place of O(n^3).  The Weyl bound above is on the flushed matrix, which the
-blocks make up exactly, so it holds unchanged; each block's eigenvalues
-carry LAPACK's backward error at that block's order.
+Wherever the zeros of the flushed matrix split it, whatever made them (the
+flush, a Gaussian kernel exactly 0 between far points, zero weights in A(q),
+a GRAM file), ``_eigensolve`` solves the eigenvalues of each connected
+component on its own: a matrix block diagonal up to a permutation has the
+union of its blocks' spectra, at O(sum k^3) for blocks of order k in place of
+O(n^3), and the bias lab's cube-mixture Grams fall apart by vertex.  The Weyl
+bound above is on the flushed matrix, which the blocks make up exactly; each
+block's eigenvalues carry LAPACK's backward error at that block's order.
 """
 
 from __future__ import annotations
@@ -117,12 +117,12 @@ def _eigensolve(a: np.ndarray, vectors: bool = False):
     is LAPACK's own; the flush's boolean temporaries are gone before LAPACK
     runs.  Non-finite entries and LAPACK failures surface as ``NumericError``.
 
-    Eigenvalues alone of a matrix the flush split (:func:`_components`) are
-    solved block by block: one stacked ``eigvalsh`` per component order, a
-    lone row's diagonal entry as it is, and the union sorted ascending.  The
-    stacked copies and LAPACK's hold no more than the one copy of order n the
-    whole matrix would take.  A matrix the flush left alone or connected is
-    solved whole, as are eigenvectors.
+    Eigenvalues alone of a flushed matrix that splits, whatever made its
+    zeros (:func:`_components`), are solved block by block: one stacked
+    ``eigvalsh`` per component order, a lone row's diagonal entry as it is,
+    and the union sorted ascending.  The stacked copies and LAPACK's hold no
+    more than the one n x n copy of a whole solve.  A connected matrix, one
+    with a component over half its rows, and eigenvectors are solved whole.
     """
     _average_transpose(a)
     lo, hi = a.min(), a.max()
@@ -131,9 +131,8 @@ def _eigensolve(a: np.ndarray, vectors: bool = False):
     cutoff = _FLUSH_RATIO * max(hi, -lo)
     blocks = None
     if lo < cutoff:
-        live = np.count_nonzero(a)
         np.copyto(a, 0.0, where=(a < cutoff) & (a > -cutoff))
-        if not vectors and np.count_nonzero(a) < live:
+        if not vectors and np.count_nonzero(a) < a.size:
             blocks = _components(a)
     try:
         if vectors:

@@ -15,8 +15,11 @@ rows) of the rows centred on the mean of ``x``, as ||a||^2 + ||b||^2 - 2 a.b.
 Entries that this form cannot resolve (not above 1/16 of the summed squared
 norms, or NaN because the norms overflowed) are recomputed from coordinate
 differences.  So every distance has a relative error of at most about
-16 (d + 4) eps, and rows far enough apart to overflow get kernel 0.  The
-module needs numpy only, and divkit loads no scipy.
+16 (d + 4) eps.  An exponent below 2 log(eps) - 1 gives exactly 0, with no
+call to ``exp`` (slow where it underflows): the eigensolve's flush
+(:mod:`divkit.entropy`) zeroes such an entry of K/n or A(q) anyway, with a
+margin of e, so well-separated clusters give a Gram whose zeros split it by
+cluster.  The module needs numpy only, and divkit loads no scipy.
 """
 
 from __future__ import annotations
@@ -156,6 +159,10 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 _CHUNK = 1 << 17
 
 
+#: Gaussian exponents below this give kernel 0: exp of them is under eps^2 / e
+_EXP_FLOOR = 2.0 * np.log(np.finfo(np.float64).eps) - 1.0
+
+
 #: strictly lower triangle of a mirror tile
 _LOWER = np.tri(64, k=-1, dtype=bool)
 
@@ -236,7 +243,8 @@ def _gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
 
     A self block copies its upper triangle onto the lower one, so it is
     exactly symmetric with a unit diagonal, and rows at distance exactly 0
-    get the kernel row of their first copy.
+    get the kernel row of their first copy.  Exponents below ``_EXP_FLOOR``
+    give 0; a row block with none calls ``exp`` alone.
     """
     n = x.shape[0]
     out = np.empty((n, y.shape[0]))
@@ -247,7 +255,12 @@ def _gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
             later = r + i < lo + j
             np.minimum.at(first, lo + j[later], r + i[later])
         np.divide(sq, -2.0 * bandwidth**2, out=sq)
-        np.exp(sq, out=out[r:r + sq.shape[0], lo:])
+        block = out[r:r + sq.shape[0], lo:]
+        if sq.min() >= _EXP_FLOOR:
+            np.exp(sq, out=block)
+        else:  # exp is slow where it underflows
+            block.fill(0.0)
+            np.exp(sq, out=block, where=sq >= _EXP_FLOOR)
     if y is x:
         _mirror_upper(out)
         later = np.flatnonzero(first < n)
@@ -267,7 +280,7 @@ def cross(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     symmetric with a unit diagonal, and duplicated rows give identical
     kernel rows.  Gaussian distances come from one GEMM per block of rows
     (:func:`_sq_rows`), with a relative error of at most about 16 (d + 4)
-    eps; rows so far apart that their distance overflows give 0.
+    eps; rows so far apart that the kernel is below eps^2 / e give 0.
     """
     if spec.family == "gaussian":
         return _gaussian(x, y, spec.bandwidth)

@@ -2,12 +2,13 @@
 
 Nothing in divkit calls these: each is the plain, direct form of a quantity
 the library computes another way (scalar kernels for ``kernels.cross`` and
-``kernels.paired``, the Hadamard-square Gram and q^T Ktilde q for the RKE
-solver, the entropy gradient over live eigenpairs, the explicit entropy
-Hessian for the Newton steps' products, the guidance objective for its
-closed-form gradient, the noised log-density for the closed-form score, the
-guided pass stepping one-row arrays through the batched step), or a small
-helper for building test inputs and reading records back.
+``kernels.paired``, the Gaussian block with no exponent floor, the
+Hadamard-square Gram and q^T Ktilde q for the RKE solver, the entropy
+gradient over live eigenpairs, the explicit entropy Hessian for the Newton
+steps' products, the guidance objective for its closed-form gradient, the
+noised log-density for the closed-form score, the guided pass stepping
+one-row arrays through the batched step), or a small helper for building
+test inputs and reading records back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from divkit.guidance import (
     _step_table,
     irke_gradient,
 )
-from divkit.kernels import GramMatrix, KernelSpec, _check_square, _symmetrize, _trusted, cross
+from divkit.kernels import (
+    GramMatrix,
+    KernelSpec,
+    _check_square,
+    _sq_rows,
+    _symmetrize,
+    _trusted,
+    cross,
+)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -44,6 +53,20 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
         raise NonPositiveBandwidth(f"bandwidth must be finite, got {bandwidth}")
     diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     return float(np.exp(-float(diff @ diff) / (2.0 * bandwidth * bandwidth)))
+
+
+def full_exp_gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The Gaussian block of ``kernels.cross`` with ``exp`` taken of every
+    exponent, none set to 0 first: the squared distances of ``_sq_rows``, and
+    a self block's upper triangle mirrored onto its lower one (for rows with
+    no exact duplicates)."""
+    k = np.empty((x.shape[0], y.shape[0]))
+    for r, lo, sq in _sq_rows(x, y):
+        k[r:r + sq.shape[0], lo:] = np.exp(sq / (-2.0 * bandwidth**2))
+    if y is x:
+        lower = np.tril_indices(x.shape[0], -1)
+        k[lower] = k.T[lower]
+    return k
 
 
 def cosine_kernel(x: np.ndarray, y: np.ndarray) -> float:

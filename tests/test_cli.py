@@ -417,6 +417,9 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "format": "xml"}},
      "source.format"),
     ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "format": 7}}, "gram.format"),
+    # eta and gamma act on vne_constrained alone; a penalized mode takes their defaults only
+    ("project", {**PROJECT_OK, "eta": 0.5}, "eta"),
+    ("project", {**PROJECT_OK, "mode": "rke_penalized", "gamma": 2.0}, "gamma"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -577,7 +580,7 @@ GOLDEN = {
     "vne_penalized": ("project-937cde0fe4ce",
                         "733ca2d1ba0dcc0c1366f8bdd76e6dbe303d234e514b14f464703814e3f494e8"),
     "rke_penalized": ("project-8b87ffe02926",
-                        "5ac7c6741aaae26fea7fad4f0014d91285af91bceebdd814e3a5d5db6a05da28"),
+                        "8f9e1145621c190ad74778f42be2b6f0fd7c2c6611f7b8873e1a0efd5eae43cd"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",

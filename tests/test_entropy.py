@@ -35,7 +35,7 @@ from divkit.kernels import (
     gram,
     unit_rows,
 )
-from oracles import gram_from_values, hadamard_square, inverse_rke_weighted
+from oracles import full_exp_gaussian, gram_from_values, hadamard_square, inverse_rke_weighted
 
 
 def random_gram(n, d, seed, bandwidth=1.5):
@@ -333,7 +333,10 @@ def test_eigensolves_never_see_sub_rounding_entries(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
-    _, k = cube_mixture_gram()
+    x, _ = cube_mixture_gram()
+    # the kernel layer already sets entries below eps^2 / e to 0, so the gate
+    # is handed the Gram of the same points with exp taken of every exponent
+    k = gram_from_values(full_exp_gaussian(x.data, x.data, 0.1))
     assert k.values[k.values > 0.0].min() < 1e-80  # the input holds such entries
     score_gram(k)
     q = np.random.default_rng(0).dirichlet(np.ones(k.n))
@@ -432,6 +435,28 @@ def test_split_matrices_are_solved_by_component_order(monkeypatch):
     largest = np.bincount((x.data > 0) @ (1 << np.arange(x.d))).max()
     score_gram(k)
     assert orders and max(orders) <= largest < k.n
+    # clusters 100 bandwidths apart: every cross entry underflows to exactly 0
+    # in exp, so the flush has nothing to zero, and the split comes from the kernel
+    rng = np.random.default_rng(6)
+    sizes = rng.integers(1, 6, size=40)
+    cluster = np.repeat(np.arange(sizes.size), sizes)
+    x = 100.0 * cluster[:, None] + 0.3 * rng.normal(size=(cluster.size, 1))
+    k = gram(EmbeddingSet(x), KernelSpec("gaussian", 1.0))
+    assert np.array_equal(k.values != 0.0, cluster[:, None] == cluster)
+    orders.clear()
+    got = _eigensolve(k.values / k.n)
+    assert orders and max(orders) <= sizes.max() < k.n
+    assert np.abs(got - solver(k.values / k.n)).max() <= 1e-13
+    # zero weights make lone points of A(q): only the live rows, one block, take a call
+    k = gram(EmbeddingSet(rng.normal(size=(16, 3))), KernelSpec("gaussian", 2.0))
+    q = np.zeros(16)
+    q[rng.choice(16, size=6, replace=False)] = rng.dirichlet(np.ones(6))
+    a = weighted_gram(k, WeightVector(q))
+    assert np.count_nonzero(a) == 36  # no zero but those of the weights
+    orders.clear()
+    got = _eigensolve(a.copy())
+    assert orders == [6]
+    assert np.abs(got - solver(a)).max() <= 1e-13
     # still one call of order n, with the bits of that call: a matrix the flush
     # leaves connected, and one with a component of more than half its rows
     for a in (chain_matrix(), split_matrix([12, 4], 4)):

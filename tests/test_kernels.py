@@ -18,7 +18,13 @@ from divkit.kernels import (
     load_gram,
     paired,
 )
-from oracles import cosine_kernel, gaussian_kernel, gram_from_values, hadamard_square
+from oracles import (
+    cosine_kernel,
+    full_exp_gaussian,
+    gaussian_kernel,
+    gram_from_values,
+    hadamard_square,
+)
 
 
 def min_eigenvalue(k: GramMatrix) -> float:
@@ -285,6 +291,29 @@ def test_gaussian_duplicate_rows_give_identical_kernel_rows(n, d):
     _, first, group = np.unique(x, axis=0, return_index=True, return_inverse=True)
     assert np.array_equal(k, k[first[group.ravel()]])
     assert np.unique(k, axis=0).shape[0] == first.size
+
+
+@pytest.mark.parametrize("layout", ["cube mixture", "dense"])
+def test_gaussian_entries_below_the_exponent_floor_are_zero(layout):
+    # entries under exp(2 log(eps) - 1) = eps^2 / e are exactly 0, every other
+    # entry is exp of its exponent; the self block spans three row blocks
+    rng = np.random.default_rng(9)
+    if layout == "cube mixture":
+        x, y = (rng.integers(0, 2, size=(m, 10)) + 1e-4 * rng.normal(size=(m, 10))
+                for m in (600, 150))
+        spec = KernelSpec("gaussian", 0.1)
+    else:
+        x, y = rng.normal(size=(600, 8)), rng.normal(size=(150, 8))
+        spec = KernelSpec("gaussian", 2.0)
+    floor = np.exp(2.0 * np.log(np.finfo(float).eps) - 1.0)
+    for a, b in ((x, x), (x, y)):
+        full = full_exp_gaussian(a, b, spec.bandwidth)
+        got = cross(a, b, spec)
+        assert np.array_equal(got, np.where(full < floor, 0.0, full))
+        if layout == "dense":
+            assert got.min() > floor
+        else:  # the floor zeroes entries that exp would leave tiny but nonzero
+            assert np.any((full > 0.0) & (got == 0.0))
 
 
 def test_gaussian_rows_near_1e200_give_zero_not_nan():

@@ -90,3 +90,10 @@ def test_spectral_floor_is_read_by_entropy_alone():
             if any(name == "SPECTRAL_FLOOR" for name, _ in _references(top)):
                 readers.add(f"{path.stem}.{getattr(top, 'name', None)}")
     assert {r for r in readers if not r.startswith("entropy.")} == {"projection._screen_slack"}
+
+
+def test_readme_quick_reference_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick reference", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick reference", "exec"), {})
