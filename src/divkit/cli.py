@@ -2,14 +2,14 @@
 
 Every run command (curve, bias, project, guide, concentration) reads one
 config file and checks every key and nested field before it writes anything,
-so a malformed config exits 1 and leaves no output.  It then hashes the
-canonical serialization and writes its outputs under
-``<out_root>/<command>-<hash12>/``; a run that fails removes the directories
-it made.  Re-running an already-hashed config is a
-no-op unless --force is passed, and all outputs are byte-identical across
-re-runs because record timestamps default to 0 (opt into wall-clock stamps
-with --stamp-time).  The output root is ./divkit_out, or $DIVKIT_CACHE_DIR,
-or --out.
+so a malformed config, or one with a top-level key the command does not
+declare, exits 1 and leaves no output.  It then hashes the canonical
+serialization and writes its outputs under ``<out_root>/<command>-<hash12>/``;
+a run that fails removes the directories it made.  Re-running an
+already-hashed config is a no-op unless --force is passed, and all outputs
+are byte-identical across re-runs because record timestamps default to 0
+(opt into wall-clock stamps with --stamp-time).  The output root is
+./divkit_out, or $DIVKIT_CACHE_DIR, or --out.
 
 Exit codes: 1 usage, 2 data, 3 numeric.
 """
@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output root (default $DIVKIT_CACHE_DIR or ./divkit_out)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if any(key[0] == "seed" for key in command.keys):
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, default=1, help="cap on cross-trial parallelism")
         p.add_argument("--force", action="store_true", help="recompute even if outputs exist")
         p.add_argument("--stamp-time", action="store_true",
@@ -273,11 +274,7 @@ def _prepare_project(c: dict):
         raise UsageError("penalized modes need a 'lambda' value")
     else:
         projection._check_lambda(lam)
-        for key in ("eta", "gamma"):  # read by vne_constrained alone
-            if c[key] != getattr(projection.ProjectionConfig, key):
-                raise UsageError(f"config key {key!r} is read by vne_constrained only, not {mode}")
-    pcfg = projection.ProjectionConfig(eta=c["eta"], gamma=c["gamma"], max_iters=c["max_iters"],
-                                       tol=c["tol"])
+    pcfg = projection.ProjectionConfig(max_iters=c["max_iters"], tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
         k = (gram(dataio.load_embeddings(path, fmt), kernel)
@@ -388,8 +385,7 @@ COMMANDS = {
     "project": RunCommand("projection", "entropy projection of weights on a fixed support", (
         ("gram", _object, _REQUIRED), ("mode", _raw, "vne_penalized"),
         ("rho", _raw, None), ("lambda", _raw, None), ("vendi_target", _raw, None),
-        ("eta", _number, 0.1), ("gamma", _number, 1.0), ("max_iters", _integer, 5000),
-        ("tol", _number, 1e-8),
+        ("max_iters", _integer, 5000), ("tol", _number, 1e-8),
     ), _prepare_project),
     "guide": RunCommand("guidance", "guided vs unguided reverse diffusion on a 2D mixture", (
         ("layout", _object, _REQUIRED), ("component_std", _number, 0.1),
@@ -413,8 +409,11 @@ def run_command(args) -> int:
     """
     command = COMMANDS[args.command]
     cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed  # read only by commands with a seed key
+    unknown = sorted(set(cfg) - {name for name, _, _ in command.keys})
+    if unknown:
+        raise UsageError(f"{args.command} reads no config key {', '.join(map(repr, unknown))}")
+    if getattr(args, "seed", None) is not None:  # only commands with a seed key take --seed
+        cfg["seed"] = args.seed
     resolved = {"command": args.command,
                 **{name: _read(cfg, name, cast, default) for name, cast, default in command.keys}}
     run = command.prepare(resolved)

@@ -51,6 +51,8 @@ _LAMBDA_CEILING = 1e6
 _STAGNATION_WINDOW = 100
 _STAGNATION_EPS = 1e-12
 _ETA_GROWTH_CAP = 1024.0
+_ETA0 = 0.1  # vne_constrained's first EG step
+_GAMMA0 = 1.0  # vne_constrained's first dual step
 _EPS = float(np.finfo(np.float64).eps)
 
 _LOG = logging.getLogger("divkit")
@@ -60,21 +62,18 @@ _LOG = logging.getLogger("divkit")
 class ProjectionConfig:
     """Solver knobs shared by the three projection modes.
 
-    Each solver takes its entropy target or lambda as an argument.  ``eta``
-    (the first EG step) and ``gamma`` (the dual step) act on vne_constrained
-    only.  ``max_iters`` bounds the iterations: primal-dual rounds for
+    Each solver takes its entropy target or lambda as an argument.
+    ``max_iters`` bounds the iterations: primal-dual rounds for
     vne_constrained, Newton steps for vne_penalized, support changes for
-    rke_penalized.
+    rke_penalized.  ``tol`` is each mode's stopping tolerance.
     """
 
-    eta: float = 0.1
-    gamma: float = 1.0
     max_iters: int = 5000
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.eta, self.gamma, self.tol)):
-            raise BadArguments("eta, gamma and tol must be finite and positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise BadArguments("tol must be finite and positive")
         if self.max_iters < 1:
             raise BadArguments("max_iters must be >= 1")
 
@@ -246,7 +245,7 @@ def _screen_slack(at: _Point) -> float | None:
     return 4.0 * at.q.n * _EPS * (1.0 - math.log(lam_min))
 
 
-def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
+def _vne_line_search(k, q0, at, lam, rho, eta, margin):
     """Backtracking EG from ``at`` on kd(q) + lam * (rho - H(q)): the first of
     eta, eta/2, ... whose value is below ``at``'s by more than ``margin``.
 
@@ -268,11 +267,11 @@ def _vne_line_search(k, q0, at, lam, rho, eta, margin, cfg):
             h, eig = _spectrum(weighted_gram(k, cand), vectors=True)
             if kd + lam * (rho - h) < bar:
                 # grow the step while the line search accepts immediately
-                grown = (min(eta * 2.0, cfg.eta * _ETA_GROWTH_CAP) if tries == 0
-                         else max(eta, cfg.eta * 2.0**-30))
+                grown = (min(eta * 2.0, _ETA0 * _ETA_GROWTH_CAP) if tries == 0
+                         else max(eta, _ETA0 * 2.0**-30))
                 return _Point(cand, kd, kd_grad, h, eig), grown
         eta /= 2.0
-    return None, cfg.eta
+    return None, _ETA0
 
 
 def _tangent_cg(apply, rhs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -349,15 +348,16 @@ def _newton_step(k, q0, at, lam, g):
 def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionResult:
     """KD-projection onto the set {q : H_VNE(q) >= rho} by primal-dual EG.
 
-    The primal step descends the Lagrangian KD(q) + lambda * (rho - H(q))
-    with backtracking; the dual multiplier ascends on the constraint
-    violation with stepsize gamma.  The solver returns its last iterate,
+    The primal step descends the Lagrangian KD(q) + lambda * (rho - H(q)) by
+    backtracking EG, first tried at step ``_ETA0``; the multiplier ascends on
+    the constraint violation with a step that starts at ``_GAMMA0`` and grows
+    while the iterate stays infeasible.  The solver returns its last iterate,
     with status ``converged`` once that iterate is feasible within tol and
     moves by at most tol in one step; the single-step primal-dual iteration
-    can instead settle into a tight orbit around the saddle point and run
-    to ``max_iters``.  Returns status ``infeasible`` when the multiplier
-    exceeds a fixed ceiling while the violation stagnates (or immediately
-    when rho exceeds log n, which no weighting can reach).
+    can instead settle into a tight orbit around the saddle point and run to
+    ``max_iters``.  Returns status ``infeasible`` when the multiplier exceeds
+    a fixed ceiling while the violation stagnates (or immediately when rho
+    exceeds log n, which no weighting can reach).
     """
     if not math.isfinite(rho):
         raise BadArguments(f"rho must be finite, got {rho}")
@@ -377,15 +377,15 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
     violations = [rho - at.h]
     status = "max_iters"
     iterations = cfg.max_iters
-    eta_run = cfg.eta
-    gamma_run = cfg.gamma
+    eta_run = _ETA0
+    gamma_run = _GAMMA0
     infeasible_streak = 0
     for t in range(cfg.max_iters):
         # demand descent beyond eigensolver noise; a primal sitting at its
         # lambda-conditional optimum then simply stays put for this round
         margin = 1e-13 * (1.0 + lam + abs(at.kd + lam * (rho - at.h)))
         # when nothing descends, eta_run resets: wait for the dual to move
-        new, eta_run = _vne_line_search(k, q0, at, lam, rho, eta_run, margin, cfg)
+        new, eta_run = _vne_line_search(k, q0, at, lam, rho, eta_run, margin)
         step_norm = 0.0 if new is None else float(np.abs(new.q.weights - at.q.weights).max())
         at = at if new is None else new
 
@@ -401,10 +401,10 @@ def project_vne(k: GramMatrix, rho: float, cfg: ProjectionConfig) -> ProjectionR
         if violation > cfg.tol:
             infeasible_streak += 1
             if infeasible_streak >= 20:
-                gamma_run = min(gamma_run * 2.0, cfg.gamma * 1e6)
+                gamma_run = min(gamma_run * 2.0, _GAMMA0 * 1e6)
                 infeasible_streak = 0
         else:
-            gamma_run = cfg.gamma
+            gamma_run = _GAMMA0
             infeasible_streak = 0
 
         if violation <= cfg.tol and step_norm <= cfg.tol:

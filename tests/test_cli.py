@@ -340,6 +340,15 @@ def test_config_flag_seed_override(tmp_path):
     assert rec.payload["config"]["seed"] == 99
 
 
+def test_seed_flag_only_for_commands_with_a_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_embeddings("emb.csv", np.random.default_rng(3).normal(size=(6, 2)))
+    (tmp_path / "project.json").write_text(json.dumps(PROJECT_OK))
+    assert run_cli(["project", "--config", "project.json", "--out", "out", "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--seed" in err[0] and not (tmp_path / "out").exists()
+
+
 def test_bad_config_usage_error(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("not json")
@@ -417,9 +426,15 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "format": "xml"}},
      "source.format"),
     ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "format": 7}}, "gram.format"),
-    # eta and gamma act on vne_constrained alone; a penalized mode takes their defaults only
+    # a top-level key the command does not declare, a misspelling or a deleted knob, is an error
     ("project", {**PROJECT_OK, "eta": 0.5}, "eta"),
     ("project", {**PROJECT_OK, "mode": "rke_penalized", "gamma": 2.0}, "gamma"),
+    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5, "eta": 0.2}, "eta"),
+    ("project", {**PROJECT_OK, "max_iter": 10}, "max_iter"),
+    ("curve", {**CURVE_OK, "trial": 2}, "trial"),
+    ("bias", {"alphabet_size": 8, "sizes": [8], "trial": 2}, "trial"),
+    ("guide", {**GUIDE_OK, "apply_evry": 2}, "apply_evry"),
+    ("concentration", {**CONC_OK, "trial": 40}, "trial"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -575,12 +590,12 @@ GOLDEN = {
                 "e1b8e6dc65fa1ca98f2512a27cad165df0fffc7239269b6c86e3588b38bda68b"),
     "concentration": ("concentration-7c686229cf3c",
                         "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
-    "vne_constrained": ("project-fff50837f742",
-                          "5eab62bd2e57d6703d0aff04a47984e23f92c7a8393bb207247924d84dd58198"),
-    "vne_penalized": ("project-937cde0fe4ce",
-                        "733ca2d1ba0dcc0c1366f8bdd76e6dbe303d234e514b14f464703814e3f494e8"),
-    "rke_penalized": ("project-8b87ffe02926",
-                        "8f9e1145621c190ad74778f42be2b6f0fd7c2c6611f7b8873e1a0efd5eae43cd"),
+    "vne_constrained": ("project-477e8f92ad31",
+                          "2b9226780fa5ee5e19737cd30c9d8c52d0dcb5eb1ed6287c645313a01d60db26"),
+    "vne_penalized": ("project-846fca70b05b",
+                        "0d42c4c2511b0c753d3b7a5857c159b9c7f40d381c03c331ca064205213d2f8f"),
+    "rke_penalized": ("project-1f7ea9413a9f",
+                        "d9c7368253550a15837a44f5801d2b1bee1c4b5b40184d187188d1cd83be75d1"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",

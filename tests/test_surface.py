@@ -4,6 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "divkit"
 
@@ -92,6 +94,7 @@ def test_spectral_floor_is_read_by_entropy_alone():
     assert {r for r in readers if not r.startswith("entropy.")} == {"projection._screen_slack"}
 
 
+@pytest.mark.slow
 def test_readme_quick_reference_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick reference", 1)[1]
