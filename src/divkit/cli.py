@@ -1,10 +1,10 @@
 """Command-line front end: reproducible runs driven by JSON config files.
 
 Every run command (curve, bias, project, guide, concentration) reads one
-config file and checks every key and nested field before it writes anything,
-so a malformed config, or one with a top-level key the command does not
-declare, exits 1 and leaves no output.  It then hashes the canonical
-serialization and writes its outputs under ``<out_root>/<command>-<hash12>/``;
+config file by the fields ``COMMANDS`` declares, at every nesting level, before
+it writes anything, so a malformed config, or one with a key the command does
+not declare, exits 1 and leaves no output.  It then hashes the resolved config,
+defaults filled in, and writes its outputs under ``<out_root>/<command>-<hash12>/``;
 a run that fails removes the directories it made.  Re-running an
 already-hashed config is a no-op unless --force is passed, and all outputs
 are byte-identical across re-runs because record timestamps default to 0
@@ -92,29 +92,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _read(doc: dict, key: str, cast, default=_REQUIRED):
-    """``cast`` of the value at dotted ``key`` (or of ``default``), whose outer objects must
-    already be checked to be dicts; a missing or bad value is a usage error."""
-    *outer, name = key.split(".")
-    for part in outer:
-        doc = doc[part]
-    value = doc.get(name, default)
-    if value is _REQUIRED:
-        raise UsageError(f"config needs {key!r}")
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from exc
-
-
-def _choose(doc: dict, key: str, choices, default=_REQUIRED) -> str:
-    """The value at ``key``, which must be one of the names ``choices``."""
-    value = _read(doc, key, _raw, default)
-    if not isinstance(value, str) or value not in choices:
-        raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}; got {value!r}")
-    return value
-
-
 def _raw(value):
     return value
 
@@ -169,20 +146,50 @@ def _points(value) -> np.ndarray:
     return arr
 
 
-def _format(value):
-    """An embedding file format; None sniffs it from the file."""
-    if value not in (None, "csv", "binary"):
-        raise ValueError(f"expected csv or binary, got {value!r}")
-    return value
+def _one_of(*choices: str):
+    def cast(value):
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return cast
 
 
-def _kernel(doc) -> KernelSpec:
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise TypeError("expected an object with a 'family' field")
+def _kernel(doc) -> dict:
+    """A kernel object, a 'family' and perhaps a 'bandwidth', as its canonical payload."""
+    if not isinstance(doc, dict) or "family" not in doc or set(doc) - {"family", "bandwidth"}:
+        raise TypeError(f"expected 'family' and optional 'bandwidth' fields, got {doc!r}")
     try:
-        return KernelSpec(doc["family"], _optional(_number)(doc.get("bandwidth")))
+        return KernelSpec(doc["family"], _optional(_number)(doc.get("bandwidth"))).to_payload()
     except DivkitError as exc:
         raise ValueError(str(exc)) from exc
+
+
+def _field(doc: dict, name: str, cast, default, where: str):
+    """``cast`` of ``doc[name]``, or of ``default``; a missing or bad value is a usage error
+    naming the dotted key.  A cast that is a tuple of fields, or a dict of them by "type"
+    tag, reads a nested object with ``_resolve``."""
+    key, value = where + name, doc.get(name, default)
+    if value is _REQUIRED:
+        raise UsageError(f"config needs {key!r}")
+    nested = isinstance(cast, (tuple, dict))
+    try:
+        value = (_object if nested else cast)(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+    return _resolve(value, cast, key + ".") if nested else value
+
+
+def _resolve(doc: dict, fields, where: str = "") -> dict:
+    """``doc`` with each of ``fields``, (name, cast, default), read by ``_field``, and
+    nothing else: an undeclared key is a usage error."""
+    if isinstance(fields, dict):  # a tagged object: its "type" picks its other fields
+        tag = _field(doc, "type", _one_of(*fields), _REQUIRED, where)
+        fields = (("type", _raw, None), *fields[tag])
+    unknown = sorted(set(doc) - {name for name, _, _ in fields})
+    if unknown:
+        raise UsageError(f"undeclared config key {', '.join(repr(where + k) for k in unknown)}")
+    return {name: _field(doc, name, cast, default, where) for name, cast, default in fields}
 
 
 def _seed(c: dict) -> RunSeed:
@@ -226,19 +233,14 @@ def _prepare_bias(c: dict):
 
 
 def _prepare_curve(c: dict):
-    path = spec = fmt = None
-    if _choose(c, "source.type", ("file", "cube_mixture")) == "file":
-        path = _read(c, "source.path", _text)
-        fmt = _read(c, "source.format", _format, None)
-    else:
-        spec = bias_lab.CubeMixtureSpec(_read(c, "source.dimension", _integer),
-                                        _read(c, "source.component_std", _number, 1e-4))
-    kernel = KernelSpec.from_payload(c["kernel"])
+    source, kernel = c["source"], KernelSpec.from_payload(c["kernel"])
+    spec = (bias_lab.CubeMixtureSpec(source["dimension"], source["component_std"])
+            if source["type"] == "cube_mixture" else None)
 
     def run(out_dir: str, jobs: int) -> dict:
-        source = (bias_lab.cube_mixture_sampler(spec) if path is None
-                  else dataio.load_embeddings(path, fmt))
-        curve = bias_lab.vendi_curve(source, c["sizes"], c["trials"], kernel, _seed(c),
+        samples = (bias_lab.cube_mixture_sampler(spec) if spec is not None
+                   else dataio.load_embeddings(source["path"], source["format"]))
+        curve = bias_lab.vendi_curve(samples, c["sizes"], c["trials"], kernel, _seed(c),
                                      size_cap=c["size_cap"], jobs=jobs)
         monotone = bias_lab.check_monotone_logvendi(curve)
         dataio.write_text(os.path.join(out_dir, "curve.dat"), bias_lab.curve_to_plot_text(curve))
@@ -256,15 +258,13 @@ _SOLVERS = {
 
 
 def _prepare_project(c: dict):
-    from_embeddings = _choose(c, "gram.type", ("gram_file", "embeddings")) == "embeddings"
-    path = _read(c, "gram.path", _text)
-    kernel = _read(c, "gram.kernel", _kernel) if from_embeddings else None
-    fmt = _read(c, "gram.format", _format, None) if from_embeddings else None
-    mode = _choose(c, "mode", _SOLVERS)
-    rho, lam, vendi_target = (_read(c, key, _optional(_number))
-                              for key in ("rho", "lambda", "vendi_target"))
+    source, mode = c["gram"], c["mode"]
+    rho, lam, vendi_target = c["rho"], c["lambda"], c["vendi_target"]
+    kernel = KernelSpec.from_payload(source["kernel"]) if source["type"] == "embeddings" else None
     if mode == "vne_constrained":
-        if rho is None and vendi_target is not None:
+        if rho is not None and vendi_target is not None:
+            raise UsageError("vne_constrained mode takes 'rho' or 'vendi_target', not both")
+        if vendi_target is not None:
             if vendi_target <= 0:
                 raise DataError(f"'vendi_target' must be positive and finite, got {vendi_target}")
             rho = float(np.log(vendi_target))
@@ -277,8 +277,8 @@ def _prepare_project(c: dict):
     pcfg = projection.ProjectionConfig(max_iters=c["max_iters"], tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
-        k = (gram(dataio.load_embeddings(path, fmt), kernel)
-             if from_embeddings else load_gram(path))
+        k = (gram(dataio.load_embeddings(source["path"], source["format"]), kernel)
+             if kernel is not None else load_gram(source["path"]))
         result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
         if result.status != "converged":
             print(f"divkit: warning: {projection._stop_message(result)}", file=sys.stderr)
@@ -289,42 +289,35 @@ def _prepare_project(c: dict):
     return run
 
 
-#: base_weights type -> base weights from the resolved config and the number of modes
-_BASE_WEIGHTS = {
-    "uniform": lambda c, m: np.full(m, 1.0 / m),
-    "geometric": lambda c, m: guidance.geometric_weights(
-        m, _read(c, "base_weights.ratio", _number, 0.6)),
-    "explicit": lambda c, m: _read(c, "base_weights.values", _floats),
-}
-
-
 def _prepare_guide(c: dict):
-    std = c["component_std"]
-    layout = _choose(c, "layout.type", ("grid", "circle", "explicit"))
-    if layout == "grid":
-        rows, cols = _read(c, "layout.rows", _integer), _read(c, "layout.cols", _integer)
-        spacing = _read(c, "layout.spacing", _number)
-        spec, default_bw = guidance.MixtureSpec2D.grid(rows, cols, spacing, std), spacing / 2.0
-    elif layout == "circle":
-        n_modes, radius = _read(c, "layout.n_modes", _integer), _read(c, "layout.radius", _number)
+    layout, std = c["layout"], c["component_std"]
+    if layout["type"] == "grid":
+        spacing = layout["spacing"]
+        spec = guidance.MixtureSpec2D.grid(layout["rows"], layout["cols"], spacing, std)
+        default_bw = spacing / 2.0
+    elif layout["type"] == "circle":
+        n_modes, radius = layout["n_modes"], layout["radius"]
         spec = guidance.MixtureSpec2D.circle(n_modes, radius, std)
         default_bw = radius * 2.0 * np.sin(np.pi / n_modes) / 2.0  # nearest-neighbor spacing
+    else:  # explicit centers; null weights are uniform
+        n = len(layout["centers"])
+        weights = np.full(n, 1.0 / n) if layout["weights"] is None else layout["weights"]
+        spec = guidance.MixtureSpec2D(layout["centers"], weights, std)
+        default_bw = layout["bandwidth_hint"]
+    m, base_cfg = spec.n_modes, c["base_weights"]
+    if base_cfg["type"] == "uniform":
+        base_weights = np.full(m, 1.0 / m)
+    elif base_cfg["type"] == "geometric":
+        base_weights = guidance.geometric_weights(m, base_cfg["ratio"])
     else:
-        centers = _read(c, "layout.centers", _points)
-        weights = _read(c, "layout.weights", _floats, np.full(len(centers), 1.0 / len(centers)))
-        spec = guidance.MixtureSpec2D(centers, weights, std)
-        default_bw = _read(c, "layout.bandwidth_hint", _number, 1.0)
-    base_weights = _BASE_WEIGHTS[_choose(c, "base_weights.type", _BASE_WEIGHTS)](c, spec.n_modes)
+        base_weights = base_cfg["values"]
     base = spec.with_weights(base_weights)  # checks the base weights against the layout
-    steps = _read(c, "schedule.steps", _integer, 200)
+    steps = c["schedule"]["steps"]
     # schedule kinds and eta schedules are named after their constructors
-    kind = _choose(c, "schedule.kind", ("linear_beta", "cosine"), "linear_beta")
-    sched = getattr(guidance.NoiseSchedule, kind)(steps)
-    bw = _read(c, "kernel_bandwidth", lambda v: default_bw if v is None else _number(v))
-    eta_kind = _choose(c, "eta_schedule", ("constant", "linear_decay"))
-    gcfg = getattr(guidance.GuidanceConfig, eta_kind)(c["eta"], steps, c["apply_every"],
-                                                      KernelSpec("gaussian", bw))
-    _choose(c, "bank_policy", guidance.BANK_POLICIES)
+    sched = getattr(guidance.NoiseSchedule, c["schedule"]["kind"])(steps)
+    bw = default_bw if c["kernel_bandwidth"] is None else c["kernel_bandwidth"]
+    gcfg = getattr(guidance.GuidanceConfig, c["eta_schedule"])(c["eta"], steps, c["apply_every"],
+                                                               KernelSpec("gaussian", bw))
 
     def run(out_dir: str, jobs: int) -> dict:
         result = guidance.run_guided_sampling(
@@ -360,22 +353,38 @@ def _prepare_concentration(c: dict):
 
 
 class RunCommand(NamedTuple):
-    """A run command.  ``prepare`` takes the resolved config, checks its nested fields,
-    builds what needs no file and no compute, and returns ``run(out_dir, jobs)``, which
+    """A run command.  ``prepare`` takes the resolved config, checks what its fields say
+    together, builds what needs no file and no compute, and returns ``run(out_dir, jobs)``, which
     loads, computes, writes the side files and returns the record payload less "config"."""
 
     kind: str  # record kind
     help: str
-    keys: tuple  # (name, cast, default) per config key
+    keys: tuple  # (name, cast, default) per config key, read by _resolve
     prepare: Callable[[dict], Callable[[str, int], dict]]
 
 
-_KERNEL = ("kernel", lambda doc: _kernel(doc).to_payload(), _REQUIRED)
+_KERNEL = ("kernel", _kernel, _REQUIRED)
 _SEED = (("seed", _integer, 0), ("stream_id", _integer, 0))
+#: the fields of the nested config objects; a tagged object maps each "type" to its fields
+_FORMAT = ("format", _optional(_one_of("csv", "binary")), None)  # None: sniff the file
+_SOURCE = {"file": (("path", _text, _REQUIRED), _FORMAT),
+           "cube_mixture": (("dimension", _integer, _REQUIRED), ("component_std", _number, 1e-4))}
+_GRAM = {"gram_file": (("path", _text, _REQUIRED),),
+         "embeddings": (("path", _text, _REQUIRED), _FORMAT, _KERNEL)}
+_LAYOUT = {
+    "grid": (("rows", _integer, _REQUIRED), ("cols", _integer, _REQUIRED),
+             ("spacing", _number, _REQUIRED)),
+    "circle": (("n_modes", _integer, _REQUIRED), ("radius", _number, _REQUIRED)),
+    "explicit": (("centers", _points, _REQUIRED), ("weights", _optional(_floats), None),
+                 ("bandwidth_hint", _number, 1.0)),
+}
+_BASE_WEIGHTS = {"uniform": (), "geometric": (("ratio", _number, 0.6),),
+                 "explicit": (("values", _floats, _REQUIRED),)}
+_SCHEDULE = (("kind", _one_of("linear_beta", "cosine"), "linear_beta"), ("steps", _integer, 200))
 
 COMMANDS = {
     "curve": RunCommand("curve", "Vendi score vs sample size from a file or cube mixture", (
-        ("source", _object, _REQUIRED), _KERNEL, ("sizes", _ints, [64 * 2**k for k in range(7)]),
+        ("source", _SOURCE, _REQUIRED), _KERNEL, ("sizes", _ints, [64 * 2**k for k in range(7)]),
         ("trials", _integer, 10), ("size_cap", _integer, DEFAULT_SIZE_CAP), *_SEED,
     ), _prepare_curve),
     "bias": RunCommand("bias", "plug-in entropy bias curve for a uniform discrete law", (
@@ -383,16 +392,18 @@ COMMANDS = {
         ("trials", _integer, 10), *_SEED,
     ), _prepare_bias),
     "project": RunCommand("projection", "entropy projection of weights on a fixed support", (
-        ("gram", _object, _REQUIRED), ("mode", _raw, "vne_penalized"),
-        ("rho", _raw, None), ("lambda", _raw, None), ("vendi_target", _raw, None),
+        ("gram", _GRAM, _REQUIRED), ("mode", _one_of(*_SOLVERS), "vne_penalized"),
+        ("rho", _optional(_number), None), ("lambda", _optional(_number), None),
+        ("vendi_target", _optional(_number), None),
         ("max_iters", _integer, 5000), ("tol", _number, 1e-8),
     ), _prepare_project),
     "guide": RunCommand("guidance", "guided vs unguided reverse diffusion on a 2D mixture", (
-        ("layout", _object, _REQUIRED), ("component_std", _number, 0.1),
-        ("base_weights", _object, {"type": "uniform"}), ("n_samples", _integer, 1000),
-        ("schedule", _object, {"kind": "linear_beta", "steps": 200}),
-        ("eta", _number, 0.03), ("eta_schedule", _raw, "constant"), ("apply_every", _integer, 10),
-        ("kernel_bandwidth", _raw, None), ("bank_policy", _raw, "all_finals"),
+        ("layout", _LAYOUT, _REQUIRED), ("component_std", _number, 0.1),
+        ("base_weights", _BASE_WEIGHTS, {"type": "uniform"}), ("n_samples", _integer, 1000),
+        ("schedule", _SCHEDULE, {}), ("eta", _number, 0.03),
+        ("eta_schedule", _one_of("constant", "linear_decay"), "constant"),
+        ("apply_every", _integer, 10), ("kernel_bandwidth", _optional(_number), None),
+        ("bank_policy", _one_of(*guidance.BANK_POLICIES), "all_finals"),
         ("stochastic", _boolean, True), ("dump_trajectories", _integer, 0), *_SEED,
     ), _prepare_guide),
     "concentration": RunCommand("concentration", "log-Vendi concentration check", (
@@ -409,13 +420,9 @@ def run_command(args) -> int:
     """
     command = COMMANDS[args.command]
     cfg = _load_config(args.config)
-    unknown = sorted(set(cfg) - {name for name, _, _ in command.keys})
-    if unknown:
-        raise UsageError(f"{args.command} reads no config key {', '.join(map(repr, unknown))}")
     if getattr(args, "seed", None) is not None:  # only commands with a seed key take --seed
         cfg["seed"] = args.seed
-    resolved = {"command": args.command,
-                **{name: _read(cfg, name, cast, default) for name, cast, default in command.keys}}
+    resolved = {"command": args.command, **_resolve(cfg, command.keys)}
     run = command.prepare(resolved)
     digest = config_hash(resolved)
     root = args.out or os.environ.get("DIVKIT_CACHE_DIR") or "divkit_out"

@@ -435,6 +435,34 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("bias", {"alphabet_size": 8, "sizes": [8], "trial": 2}, "trial"),
     ("guide", {**GUIDE_OK, "apply_evry": 2}, "apply_evry"),
     ("concentration", {**CONC_OK, "trial": 40}, "trial"),
+    # an undeclared field of a nested object, at any level, under each of its tags
+    ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "dimension": 2}},
+     "source.dimension"),
+    ("curve", {**CURVE_OK, "source": {"type": "cube_mixture", "dimension": 2,
+                                      "component_stdd": 0.5}}, "source.component_stdd"),
+    ("project", {**PROJECT_OK, "gram": {"type": "gram_file", "path": "k.gram",
+                                        "kernel": PROJECT_OK["gram"]["kernel"]}}, "gram.kernel"),
+    ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "fromat": "csv"}}, "gram.fromat"),
+    ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": 0.1, "bandwith": 0.2}},
+     "kernel"),
+    ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "kernel": {
+        "family": "gaussian", "bandwidth": 1.0, "bandwith": 2.0}}}, "gram.kernel"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": 2.0,
+                                      "radius": 1.0}}, "layout.radius"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "circle", "n_modes": 3, "radius": 2.0,
+                                      "spacing": 1.0}}, "layout.spacing"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [2, 0]],
+                                      "weight": [0.5, 0.5]}}, "layout.weight"),
+    ("guide", {**GUIDE_OK, "base_weights": {"type": "uniform", "ratio": 0.5}},
+     "base_weights.ratio"),
+    ("guide", {**GUIDE_OK, "base_weights": {"type": "geometric", "rate": 0.5}},
+     "base_weights.rate"),
+    ("guide", {**GUIDE_OK, "base_weights": {"type": "explicit", "values": [1, 1, 1, 1],
+                                            "ratio": 0.5}}, "base_weights.ratio"),
+    ("guide", {**GUIDE_OK, "schedule": {"kind": "cosine", "step": 20}}, "schedule.step"),
+    # vne_constrained takes its target as rho or as vendi_target, not both
+    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5, "vendi_target": 4.0},
+     "vendi_target"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -445,6 +473,26 @@ def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, c
     assert len(err) == 1 and err[0].startswith("divkit: usage error:")
     assert repr(key) in err[0]
     assert not out.exists()
+
+
+def test_record_config_holds_resolved_nested_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_embeddings("emb.csv", np.random.default_rng(3).normal(size=(6, 2)))
+    layout = {"type": "explicit", "centers": [[0, 0], [2, 0]]}
+    runs = {"project": PROJECT_OK,
+            "guide": {**GUIDE_OK, "layout": layout, "base_weights": {"type": "geometric"},
+                      "schedule": {"kind": "cosine"}}}
+    config = {}
+    for command, cfg in runs.items():
+        Path(f"{command}.json").write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", f"{command}.json", "--out", "out"]) == 0
+        (record,) = Path("out").glob(f"{command}-*/record.json")
+        config[command] = read_record(str(record)).payload["config"]
+    assert config["project"]["gram"] == {**PROJECT_OK["gram"], "format": None}
+    guide = config["guide"]
+    assert guide["layout"] == {**layout, "weights": None, "bandwidth_hint": 1.0}
+    assert guide["base_weights"] == {"type": "geometric", "ratio": 0.6}
+    assert guide["schedule"] == {"kind": "cosine", "steps": 200}
 
 
 @pytest.mark.parametrize("command, text, found", [
@@ -590,18 +638,18 @@ GOLDEN = {
                 "e1b8e6dc65fa1ca98f2512a27cad165df0fffc7239269b6c86e3588b38bda68b"),
     "concentration": ("concentration-7c686229cf3c",
                         "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
-    "vne_constrained": ("project-477e8f92ad31",
-                          "2b9226780fa5ee5e19737cd30c9d8c52d0dcb5eb1ed6287c645313a01d60db26"),
-    "vne_penalized": ("project-846fca70b05b",
-                        "0d42c4c2511b0c753d3b7a5857c159b9c7f40d381c03c331ca064205213d2f8f"),
-    "rke_penalized": ("project-1f7ea9413a9f",
-                        "d9c7368253550a15837a44f5801d2b1bee1c4b5b40184d187188d1cd83be75d1"),
+    "vne_constrained": ("project-eb0f96d8dbf7",
+                          "080defb5943de65c387760e2ac867bf789a0dd1fe72504902ad5f2fa12c7e493"),
+    "vne_penalized": ("project-4cc8ac84248f",
+                        "d765d3c6a66a54626b4c8446115fab4ba1c63e84d78317bf7b0ac87f80eb13f8"),
+    "rke_penalized": ("project-154579c17917",
+                        "638ebbac847297dfef60d73a7543db1ae048949678437f1af816ec9f3755d1f9"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",
                  "fdf1645491cd6e20247ce500aec1ff07eef53c36984598ef9dc1872d17b25123"),
-    "explicit": ("guide-7218b1f88881",
-                   "94e26d9598037d257f25a6d4debdb830111437ecdd3e25ee9440792397deed3e"),
+    "explicit": ("guide-ad8ff594ea90",
+                   "24d7816c52f48c1b71abb20efeccd7ef0db984cde0f4aaaf02bc2ba0992bc69d"),
     "every_k": ("guide-d57d736e3c58",
                   "05d97cc00023b2db61d8c0f0097f2f0bbd718d6066448a469696d7d00b29ca4f"),
 }

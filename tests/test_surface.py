@@ -1,10 +1,13 @@
 """divkit's public surface: every public name is there for a caller."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from divkit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "divkit"
@@ -100,3 +103,36 @@ def test_readme_quick_reference_runs():
     section = readme.split("## Library quick reference", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md quick reference", "exec"), {})
+
+
+def _readme_config_table():
+    """{command: {key: type cell}} of README's table of run-command config keys."""
+    readme = (ROOT / "README.md").read_text()
+    rows = readme.split("| command | key | type | default |\n|---|---|---|---|\n", 1)[1]
+    table, command = {}, None
+    for row in rows.split("\n\n", 1)[0].splitlines():
+        name, keys, kind, _ = (cell.strip() for cell in row.strip("|").split("|"))
+        command = name.strip("`") or command
+        for key in re.findall(r"`(\w+)`", keys):
+            table.setdefault(command, {})[key] = kind
+    return table
+
+
+def test_readme_config_table_matches_the_commands():
+    # cli.COMMANDS declares each config key and nested field once; README's table,
+    # which leaves seed and stream_id to its prose, names the same ones
+    table = _readme_config_table()
+    assert set(table) == set(cli.COMMANDS)
+    for name, command in cli.COMMANDS.items():
+        assert set(table[name]) == {key for key, _, _ in command.keys} - {"seed", "stream_id"}
+        for key, cast, _ in command.keys:
+            if not isinstance(cast, (tuple, dict)):
+                continue  # a leaf, not a nested object
+            cell, tagged = table[name][key], isinstance(cast, dict)
+            fields = cast.values() if tagged else [cast]
+            declared = {field for each in fields for field, _, _ in each}
+            declared |= {"type"} if tagged else set()
+            # a quoted name after ': ' or 'or ' is a value, such as a tag; the others are fields
+            assert set(re.findall(r'(?<!: )(?<!or )"(\w+)"', cell)) == declared, (name, key)
+            if tagged:
+                assert set(re.findall(r'"type": "(\w+)"', cell)) == set(cast), (name, key)
