@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -153,14 +153,7 @@ class DiversityCurve:
         object.__setattr__(self, "ci_high", tuple(float(v) for v in self.ci_high))
 
     def to_payload(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "mean": list(self.mean),
-            "ci_low": list(self.ci_low),
-            "ci_high": list(self.ci_high),
-            "trials": self.trials,
-            "metric": self.metric,
-        }
+        return asdict(self)
 
 
 def curve_to_plot_text(curve: DiversityCurve) -> str:
@@ -269,12 +262,7 @@ class MonotoneReport:
     passed: bool
 
     def to_payload(self) -> dict:
-        return {
-            "pairs": [list(p) for p in self.pairs],
-            "slacks": list(self.slacks),
-            "passes": list(self.passes),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_monotone_logvendi(curve: DiversityCurve) -> MonotoneReport:
@@ -364,16 +352,7 @@ class ConcentrationReport:
     log_vendi_values: tuple
 
     def to_payload(self) -> dict:
-        return {
-            "m": self.m,
-            "delta": self.delta,
-            "t_delta": self.t_delta,
-            "trials": self.trials,
-            "violation_fraction": self.violation_fraction,
-            "pass_threshold": self.pass_threshold,
-            "passed": self.passed,
-            "log_vendi_values": list(self.log_vendi_values),
-        }
+        return asdict(self)
 
 
 def check_concentration(
@@ -429,12 +408,7 @@ class RkePopulationEstimate:
     mean_sq_kernel: float
 
     def to_payload(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "pair_count": self.pair_count,
-            "mean_sq_kernel": self.mean_sq_kernel,
-        }
+        return asdict(self)
 
 
 #: pairs drawn per sampler call; the chunk index keys each chunk's streams

@@ -292,21 +292,14 @@ def _prepare_project(c: dict):
 def _prepare_guide(c: dict):
     layout, std = c["layout"], c["component_std"]
     if layout["type"] == "grid":
-        spacing = layout["spacing"]
-        spec = guidance.MixtureSpec2D.grid(layout["rows"], layout["cols"], spacing, std)
-        default_bw = spacing / 2.0
+        spec = guidance.MixtureSpec2D.grid(layout["rows"], layout["cols"], layout["spacing"], std)
     elif layout["type"] == "circle":
-        n_modes, radius = layout["n_modes"], layout["radius"]
-        spec = guidance.MixtureSpec2D.circle(n_modes, radius, std)
-        default_bw = radius * 2.0 * np.sin(np.pi / n_modes) / 2.0  # nearest-neighbor spacing
+        spec = guidance.MixtureSpec2D.circle(layout["n_modes"], layout["radius"], std)
     else:  # explicit centers; null weights are uniform
-        n = len(layout["centers"])
-        weights = np.full(n, 1.0 / n) if layout["weights"] is None else layout["weights"]
-        spec = guidance.MixtureSpec2D(layout["centers"], weights, std)
-        default_bw = layout["bandwidth_hint"]
+        spec = guidance.MixtureSpec2D(layout["centers"], layout["weights"], std)
     m, base_cfg = spec.n_modes, c["base_weights"]
     if base_cfg["type"] == "uniform":
-        base_weights = np.full(m, 1.0 / m)
+        base_weights = None
     elif base_cfg["type"] == "geometric":
         base_weights = guidance.geometric_weights(m, base_cfg["ratio"])
     else:
@@ -315,7 +308,11 @@ def _prepare_guide(c: dict):
     steps = c["schedule"]["steps"]
     # schedule kinds and eta schedules are named after their constructors
     sched = getattr(guidance.NoiseSchedule, c["schedule"]["kind"])(steps)
-    bw = default_bw if c["kernel_bandwidth"] is None else c["kernel_bandwidth"]
+    bw = c["kernel_bandwidth"]
+    if bw is None:  # half the smallest distance between two modes
+        if spec.n_modes == 1:
+            raise UsageError("a one-mode layout needs 'kernel_bandwidth'")
+        bw = spec.mode_spacing / 2.0
     gcfg = getattr(guidance.GuidanceConfig, c["eta_schedule"])(c["eta"], steps, c["apply_every"],
                                                                KernelSpec("gaussian", bw))
 
@@ -375,8 +372,7 @@ _LAYOUT = {
     "grid": (("rows", _integer, _REQUIRED), ("cols", _integer, _REQUIRED),
              ("spacing", _number, _REQUIRED)),
     "circle": (("n_modes", _integer, _REQUIRED), ("radius", _number, _REQUIRED)),
-    "explicit": (("centers", _points, _REQUIRED), ("weights", _optional(_floats), None),
-                 ("bandwidth_hint", _number, 1.0)),
+    "explicit": (("centers", _points, _REQUIRED), ("weights", _optional(_floats), None)),
 }
 _BASE_WEIGHTS = {"uniform": (), "geometric": (("ratio", _number, 0.6),),
                  "explicit": (("values", _floats, _REQUIRED),)}

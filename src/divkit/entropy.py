@@ -340,8 +340,10 @@ def vne_gradient(k: GramMatrix, q: WeightVector, eig: tuple | None = None) -> np
     interior q.
 
     Weights at or below WEIGHT_FLOOR take the analytically continued
-    limit with the floor substituted for q_i in the division; components with
-    exactly zero weight get a zero gradient (they carry no spectral mass).
+    limit with the floor substituted for q_i in the division.  A component
+    with exactly zero weight carries no spectral mass and gets 0 by
+    convention: that is not the slope of ``vne_weighted`` there, so no
+    optimality certificate may use it.
     ``eig`` takes the eigenpairs of A(q) if they are already solved.
     """
     _check_dims(k, q)

@@ -43,10 +43,14 @@ from .kernels import KernelSpec, SelfBlock, gram
 
 @dataclass(frozen=True)
 class MixtureSpec2D:
-    """An isotropic Gaussian mixture in the plane."""
+    """An isotropic Gaussian mixture in the plane.
+
+    ``weights`` are normalized to sum to 1, and None makes them uniform, as in
+    the ``grid`` and ``circle`` layouts.
+    """
 
     centers: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
     component_std: float
 
     def __post_init__(self):
@@ -57,8 +61,10 @@ class MixtureSpec2D:
             raise BadArguments(f"centers must be finite, got {centers.tolist()}")
         if len({tuple(c) for c in centers.tolist()}) != centers.shape[0]:
             raise DataError("mixture centers must be distinct")
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if w.shape[0] != centers.shape[0]:
+        m = centers.shape[0]
+        w = np.full(m, 1.0 / m) if self.weights is None else self.weights
+        w = np.asarray(w, dtype=np.float64).ravel()
+        if w.shape[0] != m:
             raise DataError("one weight per center required")
         if w.min() < 0 or not np.isfinite(w).all():
             raise DataError("weights must be finite and nonnegative")
@@ -78,6 +84,14 @@ class MixtureSpec2D:
     def n_modes(self) -> int:
         return self.centers.shape[0]
 
+    @property
+    def mode_spacing(self) -> float | None:
+        """The smallest distance between two centers (None for one mode), with no
+        m x m temporary; half of it is the guide command's default bandwidth."""
+        c = self.centers
+        gaps = [np.min(((c[i + 1:] - c[i]) ** 2).sum(axis=1)) for i in range(len(c) - 1)]
+        return math.sqrt(min(gaps)) if gaps else None
+
     def with_weights(self, weights) -> "MixtureSpec2D":
         return MixtureSpec2D(self.centers, weights, self.component_std)
 
@@ -85,7 +99,7 @@ class MixtureSpec2D:
     def circle(n_modes: int, radius: float, component_std: float) -> "MixtureSpec2D":
         ang = 2.0 * np.pi * np.arange(n_modes) / n_modes
         centers = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return MixtureSpec2D(centers, np.full(n_modes, 1.0 / n_modes), component_std)
+        return MixtureSpec2D(centers, None, component_std)
 
     @staticmethod
     def grid(rows: int, cols: int, spacing: float, component_std: float) -> "MixtureSpec2D":
@@ -93,8 +107,7 @@ class MixtureSpec2D:
         centers = spacing * np.stack(
             [ii.ravel() - (rows - 1) / 2.0, jj.ravel() - (cols - 1) / 2.0], axis=1
         )
-        m = rows * cols
-        return MixtureSpec2D(centers, np.full(m, 1.0 / m), component_std)
+        return MixtureSpec2D(centers, None, component_std)
 
 
 def sample_mixture(spec: MixtureSpec2D, n: int, rng: RunSeed) -> EmbeddingSet:
@@ -335,8 +348,8 @@ class GuidanceConfig:
     """Per-step guidance weights, cadence, and the latent-space kernel.
 
     The guidance kernel must be Gaussian; its squared-similarity gradient is
-    applied in closed form.  A good default bandwidth is half the mode
-    spacing of the target mixture.
+    applied in closed form.  A good default bandwidth, the guide command's, is
+    half the ``mode_spacing`` of the target mixture.
     """
 
     eta_t: np.ndarray
@@ -484,7 +497,7 @@ def _measure(
     target: EmbeddingSet,
     spec: MixtureSpec2D,
     kernel: KernelSpec,
-    target_block: SelfBlock | None = None,
+    target_block: SelfBlock,
 ) -> SampleSetMetrics:
     xs = EmbeddingSet(samples, label="generated")
     score, block = vendi_with_gram(xs, kernel)
@@ -509,17 +522,16 @@ def run_guided_sampling(
     rng: RunSeed,
     stochastic: bool = True,
     bank_policy: str = "all_finals",
-    metric_kernel: KernelSpec | None = None,
 ) -> GuidedRunResult:
     """Generate guided and unguided sample sets and score both.
 
     ``spec`` is the target mixture (its weights define the data
     distribution); ``base_weights`` are the possibly skewed weights the
-    sampler actually draws from, standing in for a model with a diversity
-    shortfall.  Guided and unguided passes consume identical noise streams,
-    so with eta_t == 0 they coincide bitwise.  Metrics compare each set
-    against one fresh draw from the target mixture, under ``metric_kernel``
-    (defaults to the guidance kernel).
+    sampler actually draws from (None: uniform), standing in for a model with
+    a diversity shortfall.  Guided and unguided passes consume identical noise
+    streams, so with eta_t == 0 they coincide bitwise.  Metrics compare each
+    set against one fresh draw from the target mixture, under the guidance
+    kernel.
     """
     if n_samples < 2:
         raise BadArguments("need at least 2 samples")
@@ -529,16 +541,15 @@ def run_guided_sampling(
         )
     if bank_policy not in BANK_POLICIES:
         raise DataError(f"unknown bank policy {bank_policy!r}")
-    eval_kernel = metric_kernel or cfg.kernel
     base = spec.with_weights(base_weights)
     target = sample_mixture(spec, n_samples, rng.child(n_samples))
     guided, empty_hits = _generate(base, n_samples, sched, cfg, rng, stochastic, bank_policy)
     unguided = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
-    # both measures share the target's MMD self block; cosine MMD needs none
-    kyy = SelfBlock.of(gram(target, eval_kernel)) if eval_kernel.family == "gaussian" else None
+    # both measures share the target's MMD self block
+    kyy = SelfBlock.of(gram(target, cfg.kernel))
     return GuidedRunResult(
-        guided=_measure(guided, target, spec, eval_kernel, kyy),
-        unguided=_measure(unguided, target, spec, eval_kernel, kyy),
+        guided=_measure(guided, target, spec, cfg.kernel, kyy),
+        unguided=_measure(unguided, target, spec, cfg.kernel, kyy),
         n_modes=spec.n_modes,
         empty_bank_steps=empty_hits,
     )

@@ -305,12 +305,12 @@ def test_criterion_09_guidance_diversity_rescue():
     wins = 0
     lines = []
     for seed in range(5):
-        res = run_guided_sampling(spec, weights, 1000, sched, cfg, RunSeed(1000 + seed),
-                                  metric_kernel=metric)
+        res = run_guided_sampling(spec, weights, 1000, sched, cfg, RunSeed(1000 + seed))
         g, u = res.guided, res.unguided
-        win = g.rke > u.rke and g.covered_modes >= u.covered_modes
+        g_rke, u_rke = (vendi(side.samples, metric).rke for side in (g, u))  # metric kernel
+        win = g_rke > u_rke and g.covered_modes >= u.covered_modes
         wins += win
-        lines.append(f"seed {seed}: rke {u.rke:.2f}->{g.rke:.2f} cov {u.covered_modes}->{g.covered_modes}")
+        lines.append(f"seed {seed}: rke {u_rke:.2f}->{g_rke:.2f} cov {u.covered_modes}->{g.covered_modes}")
 
     # score oracle at the criterion's mixture
     rng = np.random.default_rng(0)

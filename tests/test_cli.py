@@ -463,6 +463,16 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     # vne_constrained takes its target as rho or as vendi_target, not both
     ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5, "vendi_target": 4.0},
      "vendi_target"),
+    # the default bandwidth is half the mode spacing, which one mode does not have
+    ("guide", {**GUIDE_OK, "layout": {"type": "circle", "n_modes": 1, "radius": 2.0}},
+     "kernel_bandwidth"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "grid", "rows": 1, "cols": 1, "spacing": 2.0}},
+     "kernel_bandwidth"),
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[1, 2]]}},
+     "kernel_bandwidth"),
+    # the deleted second knob for the default bandwidth
+    ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [2, 0]],
+                                      "bandwidth_hint": 1.0}}, "layout.bandwidth_hint"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -490,7 +500,7 @@ def test_record_config_holds_resolved_nested_defaults(tmp_path, monkeypatch):
         config[command] = read_record(str(record)).payload["config"]
     assert config["project"]["gram"] == {**PROJECT_OK["gram"], "format": None}
     guide = config["guide"]
-    assert guide["layout"] == {**layout, "weights": None, "bandwidth_hint": 1.0}
+    assert guide["layout"] == {**layout, "weights": None}
     assert guide["base_weights"] == {"type": "geometric", "ratio": 0.6}
     assert guide["schedule"] == {"kind": "cosine", "steps": 200}
 
@@ -520,6 +530,22 @@ def test_guide_non_positive_kernel_bandwidth_is_a_data_error(tmp_path, capsys, b
     assert run_cli(["guide", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"divkit: data error: gaussian bandwidth must be > 0, got {float(bandwidth)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", [
+    {"type": "grid", "rows": 0, "cols": 2, "spacing": 2.0},
+    {"type": "grid", "rows": 2, "cols": -1, "spacing": 2.0},
+    {"type": "circle", "n_modes": 0, "radius": 2.0},
+    {"type": "circle", "n_modes": -2, "radius": 2.0},
+])
+def test_guide_layout_without_modes_is_a_data_error(tmp_path, capsys, layout):
+    path = tmp_path / "guide.json"
+    path.write_text(json.dumps({**GUIDE_OK, "layout": layout}))
+    out = tmp_path / "out"
+    assert run_cli(["guide", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["divkit: data error: centers must be (m, 2), got shape (0, 2)"]
     assert not out.exists()
 
 
@@ -648,8 +674,8 @@ GOLDEN = {
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",
                  "fdf1645491cd6e20247ce500aec1ff07eef53c36984598ef9dc1872d17b25123"),
-    "explicit": ("guide-ad8ff594ea90",
-                   "24d7816c52f48c1b71abb20efeccd7ef0db984cde0f4aaaf02bc2ba0992bc69d"),
+    "explicit": ("guide-2729c86e80b3",
+                   "ab40d3d87180bd16a5960c87f7cb09c26d1cb0fa0e3a5aa02a5f2b671c7fccf4"),
     "every_k": ("guide-d57d736e3c58",
                   "05d97cc00023b2db61d8c0f0097f2f0bbd718d6066448a469696d7d00b29ca4f"),
 }

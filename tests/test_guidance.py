@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit.dataio import RunSeed
+from divkit.entropy import vendi
 from divkit.errors import BadArguments, DataError, EmptyBank
 from divkit.guidance import (
     GuidanceConfig,
@@ -53,6 +57,62 @@ def test_mixture_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(BadArguments, match=str(bad)):
             MixtureSpec2D(np.array([[bad, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]), 0.1)
+
+
+@pytest.mark.parametrize("layout, counts", [("grid", (0, 2)), ("grid", (2, -1)),
+                                            ("circle", (0,)), ("circle", (-2,))])
+def test_layout_without_modes_is_a_data_error(layout, counts):
+    with pytest.raises(DataError, match=r"centers must be \(m, 2\), got shape \(0, 2\)"):
+        getattr(MixtureSpec2D, layout)(*counts, 1.0, 0.1)
+
+
+def test_null_weights_are_uniform():
+    # the same bits as the uniform array the layouts used to pass in
+    explicit = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [5.0, 1.0]])
+    for spec in (MixtureSpec2D.grid(3, 5, 1.0, 0.1), MixtureSpec2D.circle(7, 2.0, 0.1),
+                 MixtureSpec2D(explicit, None, 0.1)):
+        m = spec.n_modes
+        uniform = spec.with_weights(np.full(m, 1.0 / m)).weights
+        assert spec.weights.tobytes() == uniform.tobytes()
+        skewed = spec.with_weights(geometric_weights(m, 0.5))
+        assert skewed.with_weights(None).weights.tobytes() == uniform.tobytes()
+
+
+def test_mode_spacing():
+    # half of it is the guide command's default bandwidth: the pinned layouts keep theirs
+    assert MixtureSpec2D.grid(2, 2, 2.0, 0.1).mode_spacing / 2 == 1.0
+    assert MixtureSpec2D.grid(4, 4, 2.0, 0.1).mode_spacing / 2 == 1.0
+    assert MixtureSpec2D.circle(3, 2.0, 0.1).mode_spacing / 2 == 1.7320508075688772
+    explicit = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    assert MixtureSpec2D(explicit, None, 0.1).mode_spacing / 2 == 1.0
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 9, size=2).tolist()
+        spacing = float(rng.uniform(0.01, 10.0))
+        if rows * cols > 1:
+            got = MixtureSpec2D.grid(rows, cols, spacing, 0.1).mode_spacing
+            assert got == pytest.approx(spacing, rel=1e-15, abs=0)
+    for n in range(2, 40):
+        for radius in (0.3, 2.0, 7.3):
+            got = MixtureSpec2D.circle(n, radius, 0.1).mode_spacing
+            assert got == pytest.approx(2 * radius * math.sin(math.pi / n), rel=1e-14, abs=0)
+    assert MixtureSpec2D.circle(1, 2.0, 0.1).mode_spacing is None
+    assert MixtureSpec2D.grid(1, 1, 2.0, 0.1).mode_spacing is None
+
+
+def test_mode_spacing_builds_no_pairwise_array():
+    m = 1000
+    spec = MixtureSpec2D(np.random.default_rng(6).normal(size=(m, 2)), None, 0.1)
+    tracemalloc.start()
+    try:
+        spacing = spec.mode_spacing
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m / 10  # an m x m float array would take 8 * m * m bytes
+    diff = spec.centers[:, None, :] - spec.centers[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=2))
+    assert spacing == d[np.triu_indices(m, 1)].min()
 
 
 def test_schedule_shapes():
@@ -403,9 +463,8 @@ def test_skewed_base_guidance_improves_rke_and_coverage():
     w = geometric_weights(16, 0.5)
     rke_wins = cov_strict = 0
     for seed in range(5):
-        res = run_guided_sampling(spec, w, 600, sched, cfg, RunSeed(2000 + seed),
-                                  metric_kernel=metric)
-        rke_wins += res.guided.rke > res.unguided.rke
+        res = run_guided_sampling(spec, w, 600, sched, cfg, RunSeed(2000 + seed))
+        rke_wins += vendi(res.guided.samples, metric).rke > vendi(res.unguided.samples, metric).rke
         cov_strict += res.guided.covered_modes > res.unguided.covered_modes
     assert rke_wins >= 4
     assert cov_strict >= 3  # strictly more modes in a majority of seeds

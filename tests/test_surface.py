@@ -136,3 +136,27 @@ def test_readme_config_table_matches_the_commands():
             assert set(re.findall(r'(?<!: )(?<!or )"(\w+)"', cell)) == declared, (name, key)
             if tagged:
                 assert set(re.findall(r'"type": "(\w+)"', cell)) == set(cast), (name, key)
+
+
+def _slow_tests():
+    """The tests marked ``@pytest.mark.slow``: criterion numbers and other test names."""
+    criteria, names = set(), set()
+    for path in sorted(ROOT.glob("tests/test_*.py")) + sorted(ROOT.glob("perfbench/tests/test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(d) == "pytest.mark.slow" for d in node.decorator_list):
+                criterion = re.fullmatch(r"test_criterion_0*(\d+[a-z]?)_\w+", node.name)
+                if criterion:
+                    criteria.add(criterion[1])
+                else:
+                    names.add(node.name)
+    return criteria, names
+
+
+def test_readme_names_every_slow_test():
+    # README's paragraph on the marker says what `pytest -m "not slow"` leaves out
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("The `slow` marker", 1)[1].split("\n\n", 1)[0]
+    listed = re.search(r"criteria ((?:\d+[a-z]?(?:,\s+|\s+and\s+)?)+)", paragraph)
+    criteria = set(re.findall(r"\d+[a-z]?", listed[1])) if listed else set()
+    assert (criteria, set(re.findall(r"`(test_\w+)`", paragraph))) == _slow_tests()
