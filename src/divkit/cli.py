@@ -49,11 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     score = sub.add_parser("score", parents=[], help="diversity scores of one embedding file")
-    score.add_argument("embeddings", help="CSV or binary embedding file")
+    score.add_argument("embeddings", help="CSV or binary (EMBD) embedding file")
     score.add_argument("--against", help="second embedding file; adds a KD/FD block")
     score.add_argument("--kernel", choices=("gaussian", "cosine"), default="gaussian")
     score.add_argument("--bandwidth", type=float, help="gaussian bandwidth (required for gaussian)")
-    score.add_argument("--format", choices=("csv", "binary"), help="override format sniffing")
     score.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                        help="refuse exact eigendecompositions above this matrix order "
                             "(n, or d for cosine scores with d < n)")
@@ -204,11 +203,11 @@ def cmd_score(args) -> int:
     if args.kernel == "gaussian" and args.bandwidth is None:
         raise UsageError("gaussian kernel needs --bandwidth")
     spec = KernelSpec(args.kernel, args.bandwidth)
-    x = dataio.load_embeddings(args.embeddings, args.format)
+    x = dataio.load_embeddings(args.embeddings)
     score, block = vendi_with_gram(x, spec, size_cap=args.size_cap)
     payload: dict = {"score": score.to_payload(), "label": x.label}
     if args.against:
-        y = dataio.load_embeddings(args.against, args.format)
+        y = dataio.load_embeddings(args.against)
         payload["against"] = compare(x, y, spec, block).to_payload()
     print(canonical_json(payload))
     return 0
@@ -239,7 +238,7 @@ def _prepare_curve(c: dict):
 
     def run(out_dir: str, jobs: int) -> dict:
         samples = (bias_lab.cube_mixture_sampler(spec) if spec is not None
-                   else dataio.load_embeddings(source["path"], source["format"]))
+                   else dataio.load_embeddings(source["path"]))
         curve = bias_lab.vendi_curve(samples, c["sizes"], c["trials"], kernel, _seed(c),
                                      size_cap=c["size_cap"], jobs=jobs)
         monotone = bias_lab.check_monotone_logvendi(curve)
@@ -277,7 +276,7 @@ def _prepare_project(c: dict):
     pcfg = projection.ProjectionConfig(max_iters=c["max_iters"], tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
-        k = (gram(dataio.load_embeddings(source["path"], source["format"]), kernel)
+        k = (gram(dataio.load_embeddings(source["path"]), kernel)
              if kernel is not None else load_gram(source["path"]))
         result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
         if result.status != "converged":
@@ -363,11 +362,10 @@ class RunCommand(NamedTuple):
 _KERNEL = ("kernel", _kernel, _REQUIRED)
 _SEED = (("seed", _integer, 0), ("stream_id", _integer, 0))
 #: the fields of the nested config objects; a tagged object maps each "type" to its fields
-_FORMAT = ("format", _optional(_one_of("csv", "binary")), None)  # None: sniff the file
-_SOURCE = {"file": (("path", _text, _REQUIRED), _FORMAT),
+_SOURCE = {"file": (("path", _text, _REQUIRED),),
            "cube_mixture": (("dimension", _integer, _REQUIRED), ("component_std", _number, 1e-4))}
 _GRAM = {"gram_file": (("path", _text, _REQUIRED),),
-         "embeddings": (("path", _text, _REQUIRED), _FORMAT, _KERNEL)}
+         "embeddings": (("path", _text, _REQUIRED), _KERNEL)}
 _LAYOUT = {
     "grid": (("rows", _integer, _REQUIRED), ("cols", _integer, _REQUIRED),
              ("spacing", _number, _REQUIRED)),

@@ -15,16 +15,20 @@ significant digits, so writing and re-reading a record is the identity.
 
 Ingest
 ------
+An input must be a regular file (a stat says so before it is opened): a pipe
+loses the bytes a read took, and a FIFO with no writer blocks its open.  Its
+first four bytes name its format: ``EMBD`` a container, else CSV.
 numpy's C reader does the parsing of a CSV file, in one pass: a line filter
 drops blank and comment lines and feeds the stripped data lines to
 ``np.loadtxt``.  The line reader, ``_read_csv_lines``, decides every failure.
 When the filter meets a data line it will not pass (one holding an ASCII
 information separator, which numpy would skip as whitespace and Python's
 ``float`` rejects), or numpy rejects a line (a changed field count) or a
-value (an inline '#' among others), the line reader reads the file again
-through Python's ``float``.  It raises the first error in file order, or
-returns the values ``float`` gives: inputs such as ``1_0`` or non-ASCII
-digits are read only there.  Both paths give the same values bit for bit.
+value (an inline '#' among others), the line reader reads the same open
+file again, from its first byte, through Python's ``float``.  It raises the
+first error in file order, or returns the values ``float`` gives: inputs
+such as ``1_0`` or non-ASCII digits are read only there.  Both paths give
+the same values bit for bit.
 A binary container lands in its array once: its header is checked against
 the file size before anything is allocated, and its payload is read straight
 into the returned array.  Writing sends the header and then the array's own
@@ -44,8 +48,10 @@ import itertools
 import json
 import math
 import os
+import stat
 import struct
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,28 +107,43 @@ class EmbeddingSet:
         return self.data.shape[1]
 
 
-def load_embeddings(path: str, fmt: str | None = None) -> EmbeddingSet:
-    """Read an embedding set from ``path``.
-
-    ``fmt`` is 'csv' or 'binary'; when None the format is sniffed from the
-    first four bytes.
-    """
-    if fmt is None:
-        fmt = detect_format(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "binary":
-        return _loaded(_read_container(path, _MAGIC_EMBD), path)
-    raise DataError(f"unknown embedding format {fmt!r}")
-
-
-def _loaded(arr: np.ndarray, path: str) -> EmbeddingSet:
-    """The set of an array read from ``path``: ``EmbeddingSet`` makes the one
-    finiteness scan, and its error names the path, not only the label."""
-    try:
+def load_embeddings(path: str) -> EmbeddingSet:
+    """Read an embedding set from the regular file ``path``: an EMBD container if
+    its first four bytes say so, else CSV."""
+    with _regular_file(path) as fd:
+        magic = os.read(fd, 4)
+        os.lseek(fd, 0, os.SEEK_SET)
+        if magic == _MAGIC_EMBD:
+            arr = _read_container(fd, path, magic)
+        elif magic == _MAGIC_GRAM:
+            raise MalformedFile(f"{path}: a GRAM container holds a Gram matrix, not embeddings")
+        else:
+            try:
+                with open(fd, "r", encoding="utf-8", closefd=False) as fh:
+                    arr = np.loadtxt(_data_lines(fh, path), delimiter=",", comments=None,
+                                     dtype=np.float64, ndmin=2)
+            except (_LeaveToLineReader, ValueError):  # ValueError covers UnicodeDecodeError
+                os.lseek(fd, 0, os.SEEK_SET)
+                arr = _read_csv_lines(fd, path)
+    try:  # EmbeddingSet makes the one finiteness scan; its error names the path here
         return EmbeddingSet(arr, label=os.path.basename(path))
     except NonFiniteEntry as exc:
         raise NonFiniteEntry(exc.row, exc.col, path) from None
+
+
+@contextmanager
+def _regular_file(path: str):
+    """A read descriptor of the regular file ``path``; an ``OSError`` is an ``IoFailure``."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise IoFailure(f"{path}: not a regular file")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def save_embeddings(x: EmbeddingSet, path: str, fmt: str = "binary") -> None:
@@ -134,15 +155,6 @@ def save_embeddings(x: EmbeddingSet, path: str, fmt: str = "binary") -> None:
         _write_container(path, _MAGIC_EMBD, x.data)
     else:
         raise DataError(f"unknown embedding format {fmt!r}")
-
-
-def detect_format(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return "binary" if head == _MAGIC_EMBD else "csv"
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -183,19 +195,7 @@ def _data_lines(fh, path: str):
         raise EmptySet(f"{path}: no data rows")
 
 
-def _load_csv(path: str) -> EmbeddingSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            arr = np.loadtxt(_data_lines(fh, path), delimiter=",", comments=None,
-                             dtype=np.float64, ndmin=2)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except (_LeaveToLineReader, ValueError):  # ValueError covers UnicodeDecodeError
-        arr = _read_csv_lines(path)
-    return _loaded(arr, path)
-
-
-def _read_csv_lines(path: str) -> np.ndarray:
+def _read_csv_lines(fd: int, path: str) -> np.ndarray:
     """The reference CSV reader: one line at a time through Python's ``float``.
 
     Raises the first error in file order: bytes that are not UTF-8 (by byte
@@ -205,33 +205,31 @@ def _read_csv_lines(path: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = -1
     offset = 0
-    try:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    offset += len(line.encode("utf-8"))
-                except UnicodeEncodeError as exc:  # a byte escaped by surrogateescape
-                    at = offset + len(line[:exc.start].encode("utf-8"))
-                    raise MalformedFile(
-                        f"{path}: invalid UTF-8 at byte {at} (line {lineno})"
-                    ) from None
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if width < 0:
-                    width = len(parts)
-                elif len(parts) != width:
-                    raise MalformedFile(
-                        f"{path}: ragged row at line {lineno} "
-                        f"({len(parts)} fields, expected {width})"
-                    )
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise MalformedFile(f"{path}: unparsable value at line {lineno}") from exc
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(fd, "r", encoding="utf-8", errors="surrogateescape", newline="",
+              closefd=False) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                offset += len(line.encode("utf-8"))
+            except UnicodeEncodeError as exc:  # a byte escaped by surrogateescape
+                at = offset + len(line[:exc.start].encode("utf-8"))
+                raise MalformedFile(
+                    f"{path}: invalid UTF-8 at byte {at} (line {lineno})"
+                ) from None
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if width < 0:
+                width = len(parts)
+            elif len(parts) != width:
+                raise MalformedFile(
+                    f"{path}: ragged row at line {lineno} "
+                    f"({len(parts)} fields, expected {width})"
+                )
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise MalformedFile(f"{path}: unparsable value at line {lineno}") from exc
     if not rows:
         raise EmptySet(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -248,26 +246,23 @@ def _write_container(path: str, magic: bytes, arr: np.ndarray) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def _read_container(path: str, magic: bytes) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            header = fh.read(24)
-            if len(header) < 24 or header[:4] != magic:
-                raise MalformedFile(f"{path}: bad magic, expected {magic.decode()}")
-            version, n, d = struct.unpack("<IQQ", header[4:])
-            if version != _BINARY_VERSION:
-                raise MalformedFile(f"{path}: unsupported version {version}")
-            if n == 0:
-                raise EmptySet(f"{path}: container declares zero rows")
-            expected = 24 + 8 * n * d
-            found = os.fstat(fh.fileno()).st_size
-            if found == expected:  # a file that shrinks while read is caught below
-                arr = np.empty((n, d), dtype="<f8")
-                found = 24 + fh.readinto(arr)
-            if found != expected:
-                raise MalformedFile(f"{path}: expected {expected} bytes, found {found}")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+def _read_container(fd: int, path: str, magic: bytes) -> np.ndarray:
+    with open(fd, "rb", closefd=False) as fh:
+        header = fh.read(24)
+        if len(header) < 24 or header[:4] != magic:
+            raise MalformedFile(f"{path}: bad magic, expected {magic.decode()}")
+        version, n, d = struct.unpack("<IQQ", header[4:])
+        if version != _BINARY_VERSION:
+            raise MalformedFile(f"{path}: unsupported version {version}")
+        if n == 0:
+            raise EmptySet(f"{path}: container declares zero rows")
+        expected = 24 + 8 * n * d
+        found = os.fstat(fd).st_size
+        if found == expected:  # a file that shrinks while read is caught below
+            arr = np.empty((n, d), dtype="<f8")
+            found = 24 + fh.readinto(arr)
+        if found != expected:
+            raise MalformedFile(f"{path}: expected {expected} bytes, found {found}")
     return arr
 
 
@@ -277,7 +272,8 @@ def write_matrix_container(path: str, arr: np.ndarray) -> None:
 
 
 def read_matrix_container(path: str) -> np.ndarray:
-    arr = _read_container(path, _MAGIC_GRAM)
+    with _regular_file(path) as fd:
+        arr = _read_container(fd, path, _MAGIC_GRAM)
     _check_finite(arr, path)
     return arr
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import divkit.dataio
 import divkit.discrepancy
 import divkit.kernels
 from divkit.bias_lab import CubeMixtureSpec, sample_cube_mixture
@@ -91,6 +92,7 @@ def test_score_usage_errors(tmp_path, capsys):
     assert run_cli(["score", p]) == 1  # gaussian without bandwidth
     assert run_cli(["score", p, "--bogus-flag"]) == 1
     assert run_cli(["bogus-command"]) == 1
+    assert run_cli(["score", p, "--kernel", "cosine", "--format", "csv"]) == 1  # files name theirs
 
 
 def test_score_data_error_exit_code(tmp_path):
@@ -111,6 +113,40 @@ def test_score_non_utf8_csv_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("divkit: data error: ")
     assert f"{p}: invalid UTF-8 at byte 4 (line 2)" in err
+
+
+def divkit_process(args, **kwargs) -> subprocess.CompletedProcess:
+    """``divkit args`` in a fresh interpreter that imports divkit from this checkout."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "divkit.cli", *map(str, args)], env=env,
+                          capture_output=True, timeout=60, **kwargs)
+
+
+def test_score_refuses_a_piped_csv(tmp_path):
+    # sniffing the format once took the pipe's first buffer, and the rest scored as the set
+    write_embeddings(tmp_path / "r.csv", np.random.default_rng(12).normal(size=(600, 8)))
+    done = divkit_process(["score", "/dev/stdin", "--bandwidth", "1"],
+                          input=(tmp_path / "r.csv").read_bytes())
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode().splitlines() == ["divkit: data error: /dev/stdin: not a regular file"]
+
+
+def test_score_refuses_a_fifo(tmp_path):
+    # opening a FIFO that has no writer blocks; the stat before the open refuses it
+    fifo = tmp_path / "r.fifo"
+    os.mkfifo(fifo)
+    done = divkit_process(["score", fifo, "--bandwidth", "1"])
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode().splitlines() == [f"divkit: data error: {fifo}: not a regular file"]
+
+
+def test_score_gram_container_names_its_magic(tmp_path, capsys):
+    p = tmp_path / "k.gram"
+    divkit.dataio.write_matrix_container(str(p), np.eye(4))
+    assert run_cli(["score", p, "--kernel", "cosine"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"divkit: data error: {p}: a GRAM container holds a Gram matrix, not embeddings"]
 
 
 def test_score_numeric_error_exit_code(tmp_path):
@@ -422,7 +458,7 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("project", {**PROJECT_OK, "mode": "vne_constrained", "vendi_target": float("inf")},
      "vendi_target"),
     ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": float("inf")}}, "kernel"),
-    # an embedding file format is csv, binary or absent (sniffed)
+    # a file names its own format: no config object has a "format" field
     ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "format": "xml"}},
      "source.format"),
     ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "format": 7}}, "gram.format"),
@@ -498,7 +534,7 @@ def test_record_config_holds_resolved_nested_defaults(tmp_path, monkeypatch):
         assert run_cli([command, "--config", f"{command}.json", "--out", "out"]) == 0
         (record,) = Path("out").glob(f"{command}-*/record.json")
         config[command] = read_record(str(record)).payload["config"]
-    assert config["project"]["gram"] == {**PROJECT_OK["gram"], "format": None}
+    assert config["project"]["gram"] == PROJECT_OK["gram"]
     guide = config["guide"]
     assert guide["layout"] == {**layout, "weights": None}
     assert guide["base_weights"] == {"type": "geometric", "ratio": 0.6}
@@ -664,12 +700,12 @@ GOLDEN = {
                 "e1b8e6dc65fa1ca98f2512a27cad165df0fffc7239269b6c86e3588b38bda68b"),
     "concentration": ("concentration-7c686229cf3c",
                         "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
-    "vne_constrained": ("project-eb0f96d8dbf7",
-                          "080defb5943de65c387760e2ac867bf789a0dd1fe72504902ad5f2fa12c7e493"),
-    "vne_penalized": ("project-4cc8ac84248f",
-                        "d765d3c6a66a54626b4c8446115fab4ba1c63e84d78317bf7b0ac87f80eb13f8"),
-    "rke_penalized": ("project-154579c17917",
-                        "638ebbac847297dfef60d73a7543db1ae048949678437f1af816ec9f3755d1f9"),
+    "vne_constrained": ("project-477e8f92ad31",
+                          "2b9226780fa5ee5e19737cd30c9d8c52d0dcb5eb1ed6287c645313a01d60db26"),
+    "vne_penalized": ("project-846fca70b05b",
+                        "0d42c4c2511b0c753d3b7a5857c159b9c7f40d381c03c331ca064205213d2f8f"),
+    "rke_penalized": ("project-1f7ea9413a9f",
+                        "d9c7368253550a15837a44f5801d2b1bee1c4b5b40184d187188d1cd83be75d1"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",

@@ -43,7 +43,7 @@ def test_csv_load_basic(tmp_path):
 def test_csv_header_and_blank_lines(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("# c0,c1\n1.5,2.5\n\n3.5,4.5\n")
-    x = load_embeddings(str(p), "csv")
+    x = load_embeddings(str(p))
     assert (x.n, x.d) == (2, 2)
 
 
@@ -112,10 +112,29 @@ def test_binary_header_layout(tmp_path):
 
 
 def test_binary_bad_magic(tmp_path):
+    # a file names its own format, so only a Gram reader meets another magic
     p = tmp_path / "x.embd"
-    p.write_bytes(b"NOPE" + bytes(40))
-    with pytest.raises(MalformedFile):
-        load_embeddings(str(p), "binary")
+    save_embeddings(EmbeddingSet(np.ones((5, 1))), str(p), "binary")
+    with pytest.raises(MalformedFile, match="bad magic, expected GRAM"):
+        load_gram(str(p))
+    p.write_bytes(b"EMBD" + bytes(8))  # a container header cut short
+    with pytest.raises(MalformedFile, match="bad magic, expected EMBD"):
+        load_embeddings(str(p))
+
+
+def test_gram_container_is_not_embeddings(tmp_path):
+    p = tmp_path / "k.gram"
+    dataio.write_matrix_container(str(p), np.eye(3))
+    with pytest.raises(MalformedFile, match=f"^{p}: a GRAM container holds a Gram matrix"):
+        load_embeddings(str(p))
+
+
+def test_only_regular_files_are_read(tmp_path):
+    for read in (load_embeddings, load_gram):
+        with pytest.raises(IoFailure, match=f"^{tmp_path}: not a regular file$"):
+            read(str(tmp_path))
+        with pytest.raises(IoFailure, match="No such file"):
+            read(str(tmp_path / "missing.csv"))
 
 
 def test_binary_truncated(tmp_path):
@@ -161,7 +180,8 @@ def test_embeddingset_immutable():
 
 def line_reader(path):
     """The reference outcome: the line reader, then the finiteness check."""
-    arr = dataio._read_csv_lines(path)
+    with open(path, "rb") as fh:
+        arr = dataio._read_csv_lines(fh.fileno(), path)
     dataio._check_finite(arr, path)
     return arr
 
@@ -207,7 +227,7 @@ MALFORMED = [
 def test_csv_corpus_matches_the_line_reader(tmp_path, name, blob, error):
     p = tmp_path / f"{name}.csv"
     p.write_bytes(blob)
-    got = outcome(dataio._load_csv, str(p))
+    got = outcome(load_embeddings, str(p))
     assert got == outcome(line_reader, str(p))
     assert got[0] == (error or "ok")
 
