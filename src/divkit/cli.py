@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--against", help="second embedding file; adds a KD/FD block")
     score.add_argument("--kernel", choices=("gaussian", "cosine"), default="gaussian")
     score.add_argument("--bandwidth", type=float, help="gaussian bandwidth (required for gaussian)")
-    score.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+    score.add_argument("--size-cap", type=_count_arg, default=DEFAULT_SIZE_CAP,
                        help="refuse exact eigendecompositions above this matrix order "
                             "(n, or d for cosine scores with d < n)")
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output root (default $DIVKIT_CACHE_DIR or ./divkit_out)")
         if any(key[0] == "seed" for key in command.keys):
             p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="cap on cross-trial parallelism")
+        p.add_argument("--jobs", type=_count_arg, default=1, help="cap on cross-trial parallelism")
         p.add_argument("--force", action="store_true", help="recompute even if outputs exist")
         p.add_argument("--stamp-time", action="store_true",
                        help="record wall-clock time instead of the reproducible 0 stamp")
@@ -122,6 +122,21 @@ def _number(value) -> float:
     if isinstance(value, bool) or not finite:
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _count(value) -> int:
+    """A JSON integer of at least 1."""
+    if _integer(value) < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _count_arg(text: str) -> int:
+    """A command-line integer of at least 1."""
+    try:
+        return _count(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
 
 
 def _optional(cast):
@@ -303,7 +318,7 @@ def _prepare_guide(c: dict):
         base_weights = guidance.geometric_weights(m, base_cfg["ratio"])
     else:
         base_weights = base_cfg["values"]
-    base = spec.with_weights(base_weights)  # checks the base weights against the layout
+    spec.with_weights(base_weights)  # checks the base weights against the layout
     steps = c["schedule"]["steps"]
     # schedule kinds and eta schedules are named after their constructors
     sched = getattr(guidance.NoiseSchedule, c["schedule"]["kind"])(steps)
@@ -322,15 +337,11 @@ def _prepare_guide(c: dict):
         )
         dataio.save_embeddings(result.guided.samples, os.path.join(out_dir, "guided.embd"))
         dataio.save_embeddings(result.unguided.samples, os.path.join(out_dir, "unguided.embd"))
-        count = min(c["dump_trajectories"], c["n_samples"])
-        if count > 0:  # plot data of the first few unguided trajectories
-            paths = guidance.unguided_trajectories(base, sched, _seed(c), range(count),
-                                                   c["stochastic"])
-            for i in range(count):
-                rows = (f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}\n"
-                        for k, (x, y) in enumerate(paths[:, i].tolist()))
-                path = os.path.join(out_dir, f"trajectory_{i:03d}.dat")
-                dataio.write_text(path, "# step x y\n" + "".join(rows))
+        for i in range(min(c["dump_trajectories"], c["n_samples"])):  # plot data of the first few
+            rows = (f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}\n"
+                    for k, (x, y) in enumerate(result.unguided_paths[:, i].tolist()))
+            path = os.path.join(out_dir, f"trajectory_{i:03d}.dat")
+            dataio.write_text(path, "# step x y\n" + "".join(rows))
         return {"metrics": result.to_payload(), "kernel_bandwidth": bw}
 
     return run
@@ -379,7 +390,7 @@ _SCHEDULE = (("kind", _one_of("linear_beta", "cosine"), "linear_beta"), ("steps"
 COMMANDS = {
     "curve": RunCommand("curve", "Vendi score vs sample size from a file or cube mixture", (
         ("source", _SOURCE, _REQUIRED), _KERNEL, ("sizes", _ints, [64 * 2**k for k in range(7)]),
-        ("trials", _integer, 10), ("size_cap", _integer, DEFAULT_SIZE_CAP), *_SEED,
+        ("trials", _integer, 10), ("size_cap", _count, DEFAULT_SIZE_CAP), *_SEED,
     ), _prepare_curve),
     "bias": RunCommand("bias", "plug-in entropy bias curve for a uniform discrete law", (
         ("alphabet_size", _integer, 1024), ("sizes", _ints, default_bias_grid()),

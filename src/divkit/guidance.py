@@ -26,7 +26,6 @@ against one that steps one-row arrays through the batched step.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +70,9 @@ class MixtureSpec2D:
         total = w.sum()
         if total <= 0:
             raise DataError("weights sum to zero")
-        if not 0 < self.component_std < math.inf:
-            raise BadArguments(f"component_std must be finite and > 0, got {self.component_std}")
+        std = self.component_std
+        if not (0 < std and std * std < math.inf):  # the noised variances hold its square
+            raise BadArguments(f"component_std must be > 0 with a finite square, got {std}")
         w = w / total
         centers = np.ascontiguousarray(centers)
         centers.flags.writeable = False
@@ -316,18 +316,17 @@ def _noise(rng: RunSeed, index: int, steps: int) -> np.ndarray:
 def unguided_trajectories(
     spec: MixtureSpec2D,
     sched: NoiseSchedule,
-    rng: RunSeed,
-    indices: Iterable[int],
+    noise: np.ndarray,
     stochastic: bool = True,
 ) -> np.ndarray:
-    """Unguided reverse paths of the samples ``indices`` of a run under ``rng``.
+    """Unguided reverse paths of m samples from their ``noise``, shape (T+1, m, 2),
+    whose column i is :func:`_noise` of sample i.
 
     Returns shape (T+1, m, 2): row k holds the batch after k reverse steps,
     so row 0 is at level T and row T is the final sample.  The samples share
     no state, so each level is one vectorised step over the whole batch; the
-    pre-drawn noise and the path take 32 * (T+1) bytes per sample.
+    noise and the path take 32 * (T+1) bytes per sample.
     """
-    noise = np.stack([_noise(rng, i, sched.steps) for i in indices], axis=1)
     path = np.empty_like(noise)
     path[0] = z = noise[0]
     for j, step in enumerate(_step_table(spec, sched)):
@@ -430,6 +429,7 @@ class GuidedRunResult:
     unguided: SampleSetMetrics
     n_modes: int
     empty_bank_steps: int
+    unguided_paths: np.ndarray  # (T+1, n, 2), as unguided_trajectories gives them
 
     def to_payload(self) -> dict:
         return {
@@ -448,17 +448,16 @@ def count_covered_modes(samples: EmbeddingSet, spec: MixtureSpec2D) -> int:
 
 def _generate(
     base: MixtureSpec2D,
-    n_samples: int,
+    noise: np.ndarray,
     sched: NoiseSchedule,
     cfg: GuidanceConfig,
-    rng: RunSeed,
     stochastic: bool,
     bank_policy: str,
 ) -> tuple[np.ndarray, int]:
-    """The guided pass, one sample at a time: the bank, the first ``filled`` rows
-    of ``bank``, holds each earlier final under ``all_finals`` and each earlier
-    guided latent under ``every_k_steps``."""
-    steps = sched.steps
+    """The guided pass over the samples of ``noise`` (as in :func:`unguided_trajectories`),
+    one at a time: the bank, the first ``filled`` rows of ``bank``, holds each earlier
+    final under ``all_finals`` and each earlier guided latent under ``every_k_steps``."""
+    steps, n_samples = sched.steps, noise.shape[1]
     every_k = bank_policy == "every_k_steps"
     per_sample = len(range(0, steps, cfg.apply_every)) if every_k else 1
     bank = np.empty((n_samples * per_sample, 2))
@@ -469,11 +468,11 @@ def _generate(
     out = np.empty((n_samples, 2))
     empty_hits = 0
     for i in range(n_samples):
-        noise = _noise(rng, i, steps).tolist()
-        z0, z1 = noise[0]
+        path_noise = noise[:, i].tolist()
+        z0, z1 = path_noise[0]
         for j, step in enumerate(table):
             s0, s1 = row_score(z0, z1, step)
-            n0, n1 = noise[j + 1] if stochastic else (None, None)
+            n0, n1 = path_noise[j + 1] if stochastic else (None, None)
             z0, z1 = _update(z0, s0, step, n0), _update(z1, s1, step, n1)
             if j % cfg.apply_every == 0:
                 eta = eta_t[step.t - 1]
@@ -528,8 +527,9 @@ def run_guided_sampling(
     ``spec`` is the target mixture (its weights define the data
     distribution); ``base_weights`` are the possibly skewed weights the
     sampler actually draws from (None: uniform), standing in for a model with
-    a diversity shortfall.  Guided and unguided passes consume identical noise
-    streams, so with eta_t == 0 they coincide bitwise.  Metrics compare each
+    a diversity shortfall.  Each sample's noise is drawn once and drives both
+    passes, so with eta_t == 0 they coincide bitwise; the result keeps the
+    unguided paths.  Metrics compare each
     set against one fresh draw from the target mixture, under the guidance
     kernel.
     """
@@ -543,13 +543,15 @@ def run_guided_sampling(
         raise DataError(f"unknown bank policy {bank_policy!r}")
     base = spec.with_weights(base_weights)
     target = sample_mixture(spec, n_samples, rng.child(n_samples))
-    guided, empty_hits = _generate(base, n_samples, sched, cfg, rng, stochastic, bank_policy)
-    unguided = unguided_trajectories(base, sched, rng, range(n_samples), stochastic)[-1]
+    noise = np.stack([_noise(rng, i, sched.steps) for i in range(n_samples)], axis=1)
+    guided, empty_hits = _generate(base, noise, sched, cfg, stochastic, bank_policy)
+    paths = unguided_trajectories(base, sched, noise, stochastic)
     # both measures share the target's MMD self block
     kyy = SelfBlock.of(gram(target, cfg.kernel))
     return GuidedRunResult(
         guided=_measure(guided, target, spec, cfg.kernel, kyy),
-        unguided=_measure(unguided, target, spec, cfg.kernel, kyy),
+        unguided=_measure(paths[-1], target, spec, cfg.kernel, kyy),
         n_modes=spec.n_modes,
         empty_bank_steps=empty_hits,
+        unguided_paths=paths,
     )

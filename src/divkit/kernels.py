@@ -24,6 +24,7 @@ cluster.  The module needs numpy only, and divkit loads no scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,11 @@ class KernelSpec:
         if self.family == "gaussian":
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise NonPositiveBandwidth(f"gaussian bandwidth must be > 0, got {self.bandwidth}")
-            if not np.isfinite(self.bandwidth):
-                raise NonPositiveBandwidth(f"gaussian bandwidth must be finite, got {self.bandwidth}")
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
+            bw = float(self.bandwidth)
+            if not 0.0 < bw * bw < math.inf:  # the kernels divide by the square
+                raise NonPositiveBandwidth(
+                    f"gaussian bandwidth must have a positive finite square, got {self.bandwidth}")
+            object.__setattr__(self, "bandwidth", bw)
         elif self.bandwidth is not None:
             raise DataError("cosine kernel takes no bandwidth")
 

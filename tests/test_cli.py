@@ -558,6 +558,49 @@ def test_config_that_is_not_rfc_json_is_a_usage_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+SQUARE = "gaussian bandwidth must have a positive finite square, got"
+
+
+@pytest.mark.parametrize("args, cfg, code, message", [
+    # a scale whose square overflows or underflows fails as a negative one does on its path
+    (["score", "x.csv", "--bandwidth", "1e200"], None, 2, f"{SQUARE} 1e+200"),
+    (["score", "x.csv", "--bandwidth", "1e-200"], None, 2, f"{SQUARE} 1e-200"),
+    (["project"], {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "kernel": {
+        "family": "gaussian", "bandwidth": 1e200}}}, 1, f"'gram.kernel': {SQUARE} 1e+200"),
+    (["curve"], {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": 1e200}}, 1,
+     f"'kernel': {SQUARE} 1e+200"),
+    (["concentration"], {**CONC_OK, "kernel": {"family": "gaussian", "bandwidth": 1e-200}}, 1,
+     f"'kernel': {SQUARE} 1e-200"),
+    (["guide"], {**GUIDE_OK, "kernel_bandwidth": 1e200}, 2, f"{SQUARE} 1e+200"),
+    (["guide"], {**GUIDE_OK, "kernel_bandwidth": 1e-200}, 2, f"{SQUARE} 1e-200"),
+    (["guide"], {**GUIDE_OK, "component_std": 1e300}, 2,
+     "component_std must be > 0 with a finite square, got 1e+300"),
+    # a count below 1
+    (["bias", "--jobs", "0"], {"alphabet_size": 8, "sizes": [8], "trials": 2}, 1,
+     "argument --jobs: expected an integer >= 1, got '0'"),
+    (["curve", "--jobs", "-2"], CURVE_OK, 1, "argument --jobs: expected an integer >= 1, got '-2'"),
+    (["score", "x.csv", "--kernel", "cosine", "--size-cap", "-5"], None, 1,
+     "argument --size-cap: expected an integer >= 1, got '-5'"),
+    (["score", "x.csv", "--kernel", "cosine", "--size-cap", "0"], None, 1,
+     "argument --size-cap: expected an integer >= 1, got '0'"),
+    (["curve"], {**CURVE_OK, "size_cap": -5}, 1, "'size_cap': expected an integer >= 1, got -5"),
+])
+def test_out_of_domain_scale_or_count_fails_before_any_output(tmp_path, monkeypatch, capsys, args,
+                                                              cfg, code, message):
+    monkeypatch.chdir(tmp_path)
+    write_embeddings("x.csv", np.random.default_rng(3).normal(size=(6, 2)))
+    if cfg is not None:
+        Path("cfg.json").write_text(json.dumps(cfg))
+        args = [*args, "--config", "cfg.json", "--out", "out"]
+    assert run_cli(args) == code  # an uncaught exception, a traceback, fails the test here
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"divkit: {'usage' if code == 1 else 'data'} error: ")
+    assert message in err[0]
+    assert captured.out == ""
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("bandwidth", [0, -1])
 def test_guide_non_positive_kernel_bandwidth_is_a_data_error(tmp_path, capsys, bandwidth):
     path = tmp_path / "guide.json"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,11 @@ from oracles import generate_rowwise, irke_objective, level, noised_log_density
 KERNEL = KernelSpec("gaussian", 1.0)
 
 
+def noise_of(rng, n, steps):
+    """The noise of samples 0..n-1 of a run under ``rng``, shape (T+1, n, 2)."""
+    return np.stack([_noise(rng, i, steps) for i in range(n)], axis=1)
+
+
 # -- mixture specs and schedules -------------------------------------------------
 
 def test_grid_layout_centers():
@@ -51,8 +57,8 @@ def test_circle_layout_radius():
 def test_mixture_validation():
     with pytest.raises(DataError):
         MixtureSpec2D(np.zeros((2, 2)), np.array([0.5, 0.5]), 0.1)  # duplicate centers
-    for std in (0.0, np.inf, np.nan):
-        with pytest.raises(BadArguments, match=str(std)):
+    for std in (0.0, -1.0, np.inf, np.nan, 1e300):  # 1e300 squared overflows
+        with pytest.raises(BadArguments, match=re.escape(f"got {std}")):
             MixtureSpec2D(np.array([[0.0, 0.0]]), np.array([1.0]), std)
     for bad in (np.inf, np.nan):
         with pytest.raises(BadArguments, match=str(bad)):
@@ -197,7 +203,7 @@ def test_ancestral_moments_single_component():
     n = 4000
     # the final row equals n per-sample _reverse loops bitwise, as
     # test_batched_step_equals_row_steps and the one-noise-draw property pin
-    out = unguided_trajectories(spec, sched, RunSeed(7), range(n))[-1]
+    out = unguided_trajectories(spec, sched, noise_of(RunSeed(7), n, sched.steps))[-1]
     se_mean = 0.4 / np.sqrt(n)
     assert np.abs(out.mean(axis=0) - [0.5, -0.3]).max() <= 3 * se_mean
     se_std = 0.4 / np.sqrt(2 * n)
@@ -267,9 +273,8 @@ def test_guided_pass_equals_rowwise_reference(policy, stochastic, apply_every, e
     sched = NoiseSchedule.cosine(steps)
     make = GuidanceConfig.linear_decay if decay else GuidanceConfig.constant
     cfg = make(eta, steps, apply_every, KERNEL)
-    args = (spec, n, sched, cfg, RunSeed(seed), stochastic, policy)
-    out, hits = _generate(*args)
-    ref, ref_hits = generate_rowwise(*args)
+    out, hits = _generate(spec, noise_of(RunSeed(seed), n, steps), sched, cfg, stochastic, policy)
+    ref, ref_hits = generate_rowwise(spec, n, sched, cfg, RunSeed(seed), stochastic, policy)
     assert out.tobytes() == ref.tobytes()
     assert hits == ref_hits
 
@@ -406,6 +411,27 @@ def test_run_bank_policy_sizes():
     assert res.empty_bank_steps > 0  # first trajectory sees an empty bank
 
 
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_run_draws_each_noise_once_and_keeps_the_unguided_paths(monkeypatch, stochastic):
+    from divkit import guidance
+
+    drawn = []
+    real = guidance._noise
+    monkeypatch.setattr(guidance, "_noise", lambda rng, i, steps: drawn.append(i) or real(rng, i, steps))
+    spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
+    sched = NoiseSchedule.cosine(30)
+    cfg = GuidanceConfig.constant(0.05, 30, 5, KERNEL)
+    res = run_guided_sampling(spec, geometric_weights(4, 0.5), 6, sched, cfg, RunSeed(8),
+                              stochastic=stochastic)
+    assert drawn == list(range(6))  # one draw per sample serves both passes
+    paths = res.unguided_paths
+    assert paths.shape == (31, 6, 2)
+    assert paths[-1].tobytes() == res.unguided.samples.data.tobytes()
+    base = spec.with_weights(geometric_weights(4, 0.5))
+    again = unguided_trajectories(base, sched, noise_of(RunSeed(8), 6, 30), stochastic)
+    assert again.tobytes() == paths.tobytes()
+
+
 def test_unknown_bank_policy_is_a_data_error():
     spec = MixtureSpec2D.grid(2, 2, 2.0, 0.1)
     cfg = GuidanceConfig.constant(0.01, 20, 10, KERNEL)
@@ -428,12 +454,12 @@ def test_bank_all_finals_size_equals_completed_samples(monkeypatch):
     sched = NoiseSchedule.cosine(40)
     cfg = GuidanceConfig.constant(0.01, 40, 10, KERNEL)
     # each of the 4 scheduled steps of a sample sees the finals before it, oldest first
-    out, _ = guidance._generate(spec, 7, sched, cfg, RunSeed(3), True, "all_finals")
+    out, _ = guidance._generate(spec, noise_of(RunSeed(3), 7, 40), sched, cfg, True, "all_finals")
     assert len(seen) == 6 * 4
     assert all(np.array_equal(bank, out[:i // 4 + 1]) for i, bank in enumerate(seen))
     # every scheduled step adds its guided latent, so the bank grows by one per step
     seen.clear()
-    guidance._generate(spec, 3, sched, cfg, RunSeed(3), True, "every_k_steps")
+    guidance._generate(spec, noise_of(RunSeed(3), 3, 40), sched, cfg, True, "every_k_steps")
     assert [len(bank) for bank in seen] == list(range(1, 3 * 4))
 
 
