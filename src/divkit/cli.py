@@ -337,7 +337,7 @@ def _prepare_guide(c: dict):
         )
         dataio.save_embeddings(result.guided.samples, os.path.join(out_dir, "guided.embd"))
         dataio.save_embeddings(result.unguided.samples, os.path.join(out_dir, "unguided.embd"))
-        for i in range(min(c["dump_trajectories"], c["n_samples"])):  # plot data of the first few
+        for i in range(min(c["dump_trajectories"], c["n_samples"])):  # the first unguided paths
             rows = (f"{sched.steps - k} {dataio.format_float(x)} {dataio.format_float(y)}\n"
                     for k, (x, y) in enumerate(result.unguided_paths[:, i].tolist()))
             path = os.path.join(out_dir, f"trajectory_{i:03d}.dat")

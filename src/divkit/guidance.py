@@ -529,9 +529,8 @@ def run_guided_sampling(
     sampler actually draws from (None: uniform), standing in for a model with
     a diversity shortfall.  Each sample's noise is drawn once and drives both
     passes, so with eta_t == 0 they coincide bitwise; the result keeps the
-    unguided paths.  Metrics compare each
-    set against one fresh draw from the target mixture, under the guidance
-    kernel.
+    unguided paths.  Metrics compare each set against one fresh draw from the
+    target mixture, under the guidance kernel.
     """
     if n_samples < 2:
         raise BadArguments("need at least 2 samples")
