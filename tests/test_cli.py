@@ -124,7 +124,7 @@ def divkit_process(args, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_score_refuses_a_piped_csv(tmp_path):
-    # sniffing the format once took the pipe's first buffer, and the rest scored as the set
+    # a pipe keeps no byte that a read took, so a stream could load as a smaller set
     write_embeddings(tmp_path / "r.csv", np.random.default_rng(12).normal(size=(600, 8)))
     done = divkit_process(["score", "/dev/stdin", "--bandwidth", "1"],
                           input=(tmp_path / "r.csv").read_bytes())
