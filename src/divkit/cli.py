@@ -215,8 +215,8 @@ def _seed(c: dict) -> RunSeed:
 # ---------------------------------------------------------------------------
 
 def cmd_score(args) -> int:
-    if args.kernel == "gaussian" and args.bandwidth is None:
-        raise UsageError("gaussian kernel needs --bandwidth")
+    if (args.kernel == "gaussian") == (args.bandwidth is None):
+        raise UsageError("the gaussian kernel needs --bandwidth; cosine takes none")
     spec = KernelSpec(args.kernel, args.bandwidth)
     x = dataio.load_embeddings(args.embeddings)
     score, block = vendi_with_gram(x, spec, size_cap=args.size_cap)

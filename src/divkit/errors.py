@@ -56,7 +56,7 @@ class ZeroVector(DataError):
 
 
 class NonPositiveBandwidth(DataError):
-    """Gaussian kernels require bandwidth > 0."""
+    """A Gaussian bandwidth must be > 0, with a normal square whose double is finite."""
 
 
 class TooFewSamples(DataError):

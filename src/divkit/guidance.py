@@ -26,7 +26,7 @@ against one that steps one-row arrays through the batched step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .dataio import EmbeddingSet, RunSeed
 from .discrepancy import compare
 from .entropy import vendi_with_gram
 from .errors import BadArguments, DataError, EmptyBank
-from .kernels import KernelSpec, SelfBlock, gram
+from .kernels import KernelSpec, SelfBlock, _gauss_exp, gram
 
 # ---------------------------------------------------------------------------
 # mixture targets
@@ -390,10 +390,9 @@ def irke_gradient(z: np.ndarray, bank: np.ndarray, kernel: KernelSpec) -> np.nda
         raise DataError("analytic guidance gradient requires a gaussian kernel")
     if len(bank) == 0:
         raise EmptyBank("memory bank has no entries")
-    z = np.asarray(z, dtype=np.float64)
-    diff = z[None, :] - bank
-    ksq = np.exp(-(diff**2).sum(axis=1) / kernel.bandwidth**2)
-    return -2.0 / (len(bank) * kernel.bandwidth**2) * (ksq @ diff)
+    diff = np.asarray(z, dtype=np.float64)[None, :] - bank
+    h2 = kernel.bandwidth**2
+    return -2.0 / (len(bank) * h2) * (_gauss_exp((diff**2).sum(axis=1), -h2) @ diff)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +412,7 @@ class SampleSetMetrics:
     fd_to_target: float
 
     def to_payload(self) -> dict:
-        return {
-            "vendi": self.vendi,
-            "log_vendi": self.log_vendi,
-            "rke": self.rke,
-            "covered_modes": self.covered_modes,
-            "kd_to_target": self.kd_to_target,
-            "fd_to_target": self.fd_to_target,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
 
 
 @dataclass(frozen=True)

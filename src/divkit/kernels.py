@@ -15,17 +15,16 @@ rows) of the rows centred on the mean of ``x``, as ||a||^2 + ||b||^2 - 2 a.b.
 Entries that this form cannot resolve (not above 1/16 of the summed squared
 norms, or NaN because the norms overflowed) are recomputed from coordinate
 differences.  So every distance has a relative error of at most about
-16 (d + 4) eps.  An exponent below 2 log(eps) - 1 gives exactly 0, with no
-call to ``exp`` (slow where it underflows): the eigensolve's flush
-(:mod:`divkit.entropy`) zeroes such an entry of K/n or A(q) anyway, with a
-margin of e, so well-separated clusters give a Gram whose zeros split it by
-cluster.  The module needs numpy only, and divkit loads no scipy.
+16 (d + 4) eps.  :func:`_gauss_exp` makes every Gaussian exponent, the guidance
+gradient's too; one below 2 log(eps) - 1 gives exactly 0, with no call to
+``exp`` (slow where it underflows): the eigensolve's flush (:mod:`divkit.entropy`)
+zeroes such an entry of K/n or A(q) anyway, with a margin of e, so well-separated
+clusters give a Gram whose zeros split it by cluster.  divkit loads no scipy.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,18 +49,16 @@ class KernelSpec:
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise NonPositiveBandwidth(f"gaussian bandwidth must be > 0, got {self.bandwidth}")
             bw = float(self.bandwidth)
-            if not 0.0 < bw * bw < math.inf:  # the kernels divide by the square
+            if not (np.finfo(float).tiny <= bw * bw and np.isfinite(2.0 * bw * bw)):  # _gauss_exp
                 raise NonPositiveBandwidth(
-                    f"gaussian bandwidth must have a positive finite square, got {self.bandwidth}")
+                    f"gaussian bandwidth must have a positive finite square, got {self.bandwidth} "
+                    "(a normal one, so a bandwidth of about 1.4917e-154 to 9.4807e153)")
             object.__setattr__(self, "bandwidth", bw)
         elif self.bandwidth is not None:
             raise DataError("cosine kernel takes no bandwidth")
 
     def to_payload(self) -> dict:
-        out = {"family": self.family}
-        if self.bandwidth is not None:
-            out["bandwidth"] = self.bandwidth
-        return out
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     @staticmethod
     def from_payload(doc: dict) -> "KernelSpec":
@@ -166,6 +163,19 @@ _CHUNK = 1 << 17
 _EXP_FLOOR = 2.0 * np.log(np.finfo(np.float64).eps) - 1.0
 
 
+def _gauss_exp(sq: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(sq / scale) for squared distances ``sq`` and a negative normal ``scale`` (-2 h^2
+    for the kernel, -h^2 for its square), into ``out`` or a new array; ``sq`` is overwritten.
+    Overflow gives -inf quietly, and an exponent below ``_EXP_FLOOR`` exactly 0."""
+    with np.errstate(over="ignore"):
+        np.divide(sq, scale, out=sq)
+    out = np.empty_like(sq) if out is None else out
+    if sq.min(initial=0.0) >= _EXP_FLOOR:  # exp is slow where it underflows
+        return np.exp(sq, out=out)
+    out.fill(0.0)
+    return np.exp(sq, out=out, where=sq >= _EXP_FLOOR)
+
+
 #: strictly lower triangle of a mirror tile
 _LOWER = np.tri(64, k=-1, dtype=bool)
 
@@ -246,10 +256,9 @@ def _gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
 
     A self block copies its upper triangle onto the lower one, so it is
     exactly symmetric with a unit diagonal, and rows at distance exactly 0
-    get the kernel row of their first copy.  Exponents below ``_EXP_FLOOR``
-    give 0; a row block with none calls ``exp`` alone.
+    get the kernel row of their first copy.
     """
-    n = x.shape[0]
+    n, scale = x.shape[0], -2.0 * bandwidth**2
     out = np.empty((n, y.shape[0]))
     first = np.full(n, n)  # per row, the first row at distance 0 before it
     for r, lo, sq in _sq_rows(x, y):
@@ -257,13 +266,7 @@ def _gaussian(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
             i, j = np.divmod(np.flatnonzero(sq == 0.0), sq.shape[1])
             later = r + i < lo + j
             np.minimum.at(first, lo + j[later], r + i[later])
-        np.divide(sq, -2.0 * bandwidth**2, out=sq)
-        block = out[r:r + sq.shape[0], lo:]
-        if sq.min() >= _EXP_FLOOR:
-            np.exp(sq, out=block)
-        else:  # exp is slow where it underflows
-            block.fill(0.0)
-            np.exp(sq, out=block, where=sq >= _EXP_FLOOR)
+        _gauss_exp(sq, scale, out[r:r + sq.shape[0], lo:])
     if y is x:
         _mirror_upper(out)
         later = np.flatnonzero(first < n)
@@ -297,7 +300,7 @@ def paired(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == "gaussian":
         with np.errstate(over="ignore"):  # rows so far apart give 0, as in cross
             sq = ((x - y) ** 2).sum(axis=1)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return _gauss_exp(sq, -2.0 * spec.bandwidth**2)
     return np.clip((unit_rows(x) * unit_rows(y)).sum(axis=1), -1.0, 1.0)
 
 

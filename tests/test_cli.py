@@ -584,6 +584,20 @@ SQUARE = "gaussian bandwidth must have a positive finite square, got"
     (["score", "x.csv", "--kernel", "cosine", "--size-cap", "0"], None, 1,
      "argument --size-cap: expected an integer >= 1, got '0'"),
     (["curve"], {**CURVE_OK, "size_cap": -5}, 1, "'size_cap': expected an integer >= 1, got -5"),
+    # a bandwidth whose square is subnormal, or whose doubled square overflows
+    (["score", "x.csv", "--bandwidth", "1e-160"], None, 2, f"{SQUARE} 1e-160"),
+    (["score", "x.csv", "--bandwidth", "1.2e154"], None, 2, f"{SQUARE} 1.2e+154"),
+    (["curve"], {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": 1e-160}}, 1,
+     f"'kernel': {SQUARE} 1e-160"),
+    (["concentration"], {**CONC_OK, "kernel": {"family": "gaussian", "bandwidth": 1e-160}}, 1,
+     f"'kernel': {SQUARE} 1e-160"),
+    (["guide"], {**GUIDE_OK, "kernel_bandwidth": 1e-160}, 2, f"{SQUARE} 1e-160"),
+    # the default bandwidth, half of a spacing of 2e-160
+    (["guide"], {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [2e-160, 0]]}}, 2,
+     SQUARE),
+    # the mirror of a gaussian kernel with no bandwidth
+    (["score", "x.csv", "--kernel", "cosine", "--bandwidth", "1"], None, 1,
+     "the gaussian kernel needs --bandwidth; cosine takes none"),
 ])
 def test_out_of_domain_scale_or_count_fails_before_any_output(tmp_path, monkeypatch, capsys, args,
                                                               cfg, code, message):
@@ -599,6 +613,22 @@ def test_out_of_domain_scale_or_count_fails_before_any_output(tmp_path, monkeypa
     assert message in err[0]
     assert captured.out == ""
     assert not Path("out").exists()
+
+
+def test_bandwidth_with_the_least_normal_square_runs_quietly(tmp_path, monkeypatch, capsys):
+    # every exponent overflows to -inf or falls below the floor: the Gram is the identity
+    monkeypatch.chdir(tmp_path)
+    n = 6
+    write_embeddings("x.csv", np.random.default_rng(3).normal(size=(n, 2)))
+    assert run_cli(["score", "x.csv", "--bandwidth", "1.6e-154"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    score = json.loads(captured.out)["score"]
+    assert score["rke"] == pytest.approx(n, rel=1e-15)
+    assert score["log_vendi"] == pytest.approx(np.log(n), rel=1e-15)
+    Path("cfg.json").write_text(json.dumps({**GUIDE_OK, "kernel_bandwidth": 1.6e-154}))
+    assert run_cli(["guide", "--config", "cfg.json", "--out", "out"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("bandwidth", [0, -1])

@@ -8,7 +8,9 @@ from divkit.dataio import EmbeddingSet, RunSeed, write_matrix_container
 from divkit.discrepancy import mmd2
 from divkit.entropy import _eigensolve
 from divkit.errors import DataError, NonPositiveBandwidth, ZeroVector
+from divkit.guidance import irke_gradient
 from divkit.kernels import (
+    _EXP_FLOOR,
     GramMatrix,
     KernelSpec,
     _sq_rows,
@@ -323,3 +325,68 @@ def test_gaussian_rows_near_1e200_give_zero_not_nan():
     k = cross(x, x, spec)
     assert np.array_equal(k, np.eye(20))
     assert np.array_equal(cross(x, y, spec), np.zeros((20, 15)))
+
+
+#: the smallest bandwidth whose square is a normal float, and the largest whose
+#: doubled square is finite
+SMALLEST_BW = float(np.sqrt(np.finfo(float).tiny))
+LARGEST_BW = float(np.sqrt(np.finfo(float).max / 2.0))
+
+
+def test_kernel_spec_bandwidth_needs_a_normal_square():
+    for bw in (SMALLEST_BW, LARGEST_BW):
+        assert KernelSpec("gaussian", bw).bandwidth == bw
+    for bw in (np.nextafter(SMALLEST_BW, 0.0), 1e-160, np.nextafter(LARGEST_BW, np.inf)):
+        with pytest.raises(NonPositiveBandwidth, match="a normal one"):
+            KernelSpec("gaussian", bw)
+
+
+def floored_exp(exponent):
+    """exp of each exponent, 0 where it is below ``_EXP_FLOOR``."""
+    return np.where(exponent < _EXP_FLOOR, 0.0, np.exp(np.maximum(exponent, _EXP_FLOOR)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_bw=st.floats(np.log10(1.01 * SMALLEST_BW), 150.0),
+    log_scale=st.floats(-3.0, 3.0),
+    absolute=st.booleans(),
+    duplicates=st.booleans(),
+)
+def test_gaussian_exponent_is_finite_and_floored_at_every_scale(n, d, seed, log_bw, log_scale,
+                                                                absolute, duplicates):
+    # rows at a fixed multiple of the bandwidth, or at any scale up to 1e150
+    rng = np.random.default_rng(seed)
+    bw = 10.0**log_bw
+    spec = KernelSpec("gaussian", bw)
+    scale = 10.0 ** (50.0 * log_scale) if absolute else min(bw * 10.0**log_scale, 1e150)
+    x, y = rng.normal(size=(2, n, d)) * scale
+    if duplicates:
+        y[::2] = x[::2]
+    z, diff = x[0], x[0] - y
+    with np.errstate(over="ignore"):  # the test's own exponents overflow to -inf
+        exponent = ((x - y) ** 2).sum(axis=1) / (-2.0 * bw**2)
+        exponent_sq = (diff**2).sum(axis=1) / -(bw**2)
+
+    k = cross(x, y, spec)
+    self_block = cross(x, x, spec)
+    p = paired(x, y, spec)
+    for values in (k, self_block, p):
+        assert np.isfinite(values).all() and values.min() >= 0.0 and values.max() <= 1.0
+    assert np.array_equal(np.diagonal(self_block), np.ones(n))
+
+    # paired takes exp of the exponent, or 0 below the floor; cross agrees
+    # within its distance error, and is exactly 0 well below the floor
+    assert np.array_equal(p, floored_exp(exponent))
+    diag = np.diagonal(k)
+    above = (p > 0.0) & (diag > 0.0)
+    np.testing.assert_allclose(diag[above], p[above], rtol=1e-12)
+    assert np.all(diag[exponent < _EXP_FLOOR * (1.0 + 1e-12)] == 0.0)
+
+    # the guidance gradient weighs each bank row by its squared kernel, 0 below the floor
+    g = irke_gradient(z, y, spec)
+    assert np.isfinite(g).all()
+    assert np.array_equal(g, -2.0 / (n * bw**2) * (floored_exp(exponent_sq) @ diff))
