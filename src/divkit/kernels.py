@@ -49,8 +49,8 @@ class KernelSpec:
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise NonPositiveBandwidth(f"gaussian bandwidth must be > 0, got {self.bandwidth}")
             bw = float(self.bandwidth)
-            if not (np.finfo(float).tiny <= bw * bw and np.isfinite(2.0 * bw * bw)):  # _gauss_exp
-                raise NonPositiveBandwidth(
+            if not (np.finfo(float).tiny <= bw * bw and np.isfinite(2.0 * bw * bw)):
+                raise NonPositiveBandwidth(  # the scales that _gauss_exp divides by
                     f"gaussian bandwidth must have a positive finite square, got {self.bandwidth} "
                     "(a normal one, so a bandwidth of about 1.4917e-154 to 9.4807e153)")
             object.__setattr__(self, "bandwidth", bw)
