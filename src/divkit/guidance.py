@@ -391,8 +391,8 @@ def irke_gradient(z: np.ndarray, bank: np.ndarray, kernel: KernelSpec) -> np.nda
     if len(bank) == 0:
         raise EmptyBank("memory bank has no entries")
     diff = np.asarray(z, dtype=np.float64)[None, :] - bank
-    h2 = kernel.bandwidth**2
-    return -2.0 / (len(bank) * h2) * (_gauss_exp((diff**2).sum(axis=1), -h2) @ diff)
+    sq, h2 = (diff**2).sum(axis=1), kernel.bandwidth**2
+    return -2.0 / (len(bank) * h2) * (_gauss_exp(sq, -h2, np.empty_like(sq)) @ diff)
 
 
 # ---------------------------------------------------------------------------

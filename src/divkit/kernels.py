@@ -163,13 +163,12 @@ _CHUNK = 1 << 17
 _EXP_FLOOR = 2.0 * np.log(np.finfo(np.float64).eps) - 1.0
 
 
-def _gauss_exp(sq: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(sq / scale) for squared distances ``sq`` and a negative normal ``scale`` (-2 h^2
-    for the kernel, -h^2 for its square), into ``out`` or a new array; ``sq`` is overwritten.
+def _gauss_exp(sq: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """exp(sq / scale) into ``out``, for squared distances ``sq`` and a negative normal ``scale``
+    (-2 h^2 for the kernel, -h^2 for its square); ``sq`` is overwritten with the exponent.
     Overflow gives -inf quietly, and an exponent below ``_EXP_FLOOR`` exactly 0."""
     with np.errstate(over="ignore"):
         np.divide(sq, scale, out=sq)
-    out = np.empty_like(sq) if out is None else out
     if sq.min(initial=0.0) >= _EXP_FLOOR:  # exp is slow where it underflows
         return np.exp(sq, out=out)
     out.fill(0.0)
@@ -300,7 +299,7 @@ def paired(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == "gaussian":
         with np.errstate(over="ignore"):  # rows so far apart give 0, as in cross
             sq = ((x - y) ** 2).sum(axis=1)
-        return _gauss_exp(sq, -2.0 * spec.bandwidth**2)
+        return _gauss_exp(sq, -2.0 * spec.bandwidth**2, np.empty_like(sq))
     return np.clip((unit_rows(x) * unit_rows(y)).sum(axis=1), -1.0, 1.0)
 
 
