@@ -30,7 +30,7 @@ from . import bias_lab, dataio, guidance, projection
 from .dataio import ResultRecord, RunSeed, canonical_json, config_hash
 from .discrepancy import compare
 from .entropy import DEFAULT_SIZE_CAP, vendi_with_gram
-from .errors import DataError, DivkitError, NumericError, UsageError
+from .errors import DivkitError, NumericError, UsageError
 from .kernels import KernelSpec, gram, load_gram
 
 EXIT_USAGE = 1
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output root (default $DIVKIT_CACHE_DIR or ./divkit_out)")
-        if any(key[0] == "seed" for key in command.keys):
+        if _SEED[0] in command.keys:  # the command declares a seed
             p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=_count_arg, default=1, help="cap on cross-trial parallelism")
         p.add_argument("--force", action="store_true", help="recompute even if outputs exist")
@@ -72,6 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: default of a config key that must be given
 _REQUIRED = object()
+
+
+class _Tagged(NamedTuple):
+    """A table whose ``tag`` key, ``default`` when absent, picks its other fields."""
+
+    tag: str
+    default: object
+    fields: dict  # tag value -> (name, cast, default) per field
 
 
 def _not_json(name: str):
@@ -181,12 +189,12 @@ def _kernel(doc) -> dict:
 
 def _field(doc: dict, name: str, cast, default, where: str):
     """``cast`` of ``doc[name]``, or of ``default``; a missing or bad value is a usage error
-    naming the dotted key.  A cast that is a tuple of fields, or a dict of them by "type"
-    tag, reads a nested object with ``_resolve``."""
+    naming the dotted key.  A cast that is a tuple of fields, or a ``_Tagged`` table of
+    them, reads a nested object with ``_resolve``."""
     key, value = where + name, doc.get(name, default)
     if value is _REQUIRED:
         raise UsageError(f"config needs {key!r}")
-    nested = isinstance(cast, (tuple, dict))
+    nested = isinstance(cast, tuple)  # a _Tagged table is a tuple too
     try:
         value = (_object if nested else cast)(value)
     except (TypeError, ValueError) as exc:
@@ -196,10 +204,10 @@ def _field(doc: dict, name: str, cast, default, where: str):
 
 def _resolve(doc: dict, fields, where: str = "") -> dict:
     """``doc`` with each of ``fields``, (name, cast, default), read by ``_field``, and
-    nothing else: an undeclared key is a usage error."""
-    if isinstance(fields, dict):  # a tagged object: its "type" picks its other fields
-        tag = _field(doc, "type", _one_of(*fields), _REQUIRED, where)
-        fields = (("type", _raw, None), *fields[tag])
+    nothing else: an undeclared key is a usage error.  A ``_Tagged`` table's tag picks them."""
+    if isinstance(fields, _Tagged):
+        tag = _field(doc, fields.tag, _one_of(*fields.fields), fields.default, where)
+        fields = ((fields.tag, _raw, tag), *fields.fields[tag])
     unknown = sorted(set(doc) - {name for name, _, _ in fields})
     if unknown:
         raise UsageError(f"undeclared config key {', '.join(repr(where + k) for k in unknown)}")
@@ -273,27 +281,16 @@ _SOLVERS = {
 
 def _prepare_project(c: dict):
     source, mode = c["gram"], c["mode"]
-    rho, lam, vendi_target = c["rho"], c["lambda"], c["vendi_target"]
     kernel = KernelSpec.from_payload(source["kernel"]) if source["type"] == "embeddings" else None
-    if mode == "vne_constrained":
-        if rho is not None and vendi_target is not None:
-            raise UsageError("vne_constrained mode takes 'rho' or 'vendi_target', not both")
-        if vendi_target is not None:
-            if vendi_target <= 0:
-                raise DataError(f"'vendi_target' must be positive and finite, got {vendi_target}")
-            rho = float(np.log(vendi_target))
-        if rho is None:
-            raise UsageError("vne_constrained mode needs 'rho' (nats) or 'vendi_target'")
-    elif lam is None:
-        raise UsageError("penalized modes need a 'lambda' value")
-    else:
-        projection._check_lambda(lam)
+    target = c["rho"] if mode == "vne_constrained" else c["lambda"]
+    if mode != "vne_constrained":  # a negative lambda fails before any output
+        projection._check_lambda(target)
     pcfg = projection.ProjectionConfig(max_iters=c["max_iters"], tol=c["tol"])
 
     def run(out_dir: str, jobs: int) -> dict:
         k = (gram(dataio.load_embeddings(source["path"]), kernel)
              if kernel is not None else load_gram(source["path"]))
-        result = _SOLVERS[mode](k, rho if mode == "vne_constrained" else lam, pcfg)
+        result = _SOLVERS[mode](k, target, pcfg)
         if result.status != "converged":
             print(f"divkit: warning: {projection._stop_message(result)}", file=sys.stderr)
         weights_text = "\n".join(dataio.format_float(w) for w in result.q_star.weights) + "\n"
@@ -366,26 +363,32 @@ class RunCommand(NamedTuple):
 
     kind: str  # record kind
     help: str
-    keys: tuple  # (name, cast, default) per config key, read by _resolve
+    keys: tuple  # (name, cast, default) per config key, or a _Tagged table, read by _resolve
     prepare: Callable[[dict], Callable[[str, int], dict]]
 
 
 _KERNEL = ("kernel", _kernel, _REQUIRED)
 _SEED = (("seed", _integer, 0), ("stream_id", _integer, 0))
-#: the fields of the nested config objects; a tagged object maps each "type" to its fields
-_SOURCE = {"file": (("path", _text, _REQUIRED),),
-           "cube_mixture": (("dimension", _integer, _REQUIRED), ("component_std", _number, 1e-4))}
-_GRAM = {"gram_file": (("path", _text, _REQUIRED),),
-         "embeddings": (("path", _text, _REQUIRED), _KERNEL)}
-_LAYOUT = {
+#: the fields of the nested config objects, each tagged by its "type"
+_SOURCE = _Tagged("type", _REQUIRED, {
+    "file": (("path", _text, _REQUIRED),),
+    "cube_mixture": (("dimension", _integer, _REQUIRED), ("component_std", _number, 1e-4))})
+_GRAM = _Tagged("type", _REQUIRED, {"gram_file": (("path", _text, _REQUIRED),),
+                                    "embeddings": (("path", _text, _REQUIRED), _KERNEL)})
+_LAYOUT = _Tagged("type", _REQUIRED, {
     "grid": (("rows", _integer, _REQUIRED), ("cols", _integer, _REQUIRED),
              ("spacing", _number, _REQUIRED)),
     "circle": (("n_modes", _integer, _REQUIRED), ("radius", _number, _REQUIRED)),
-    "explicit": (("centers", _points, _REQUIRED), ("weights", _optional(_floats), None)),
-}
-_BASE_WEIGHTS = {"uniform": (), "geometric": (("ratio", _number, 0.6),),
-                 "explicit": (("values", _floats, _REQUIRED),)}
+    "explicit": (("centers", _points, _REQUIRED), ("weights", _optional(_floats), None))})
+_BASE_WEIGHTS = _Tagged("type", _REQUIRED, {"uniform": (), "geometric": (("ratio", _number, 0.6),),
+                                            "explicit": (("values", _floats, _REQUIRED),)})
 _SCHEDULE = (("kind", _one_of("linear_beta", "cosine"), "linear_beta"), ("steps", _integer, 200))
+#: the top level of a project config: its "mode" adds the solver's one target to these
+_SOLVE = (("gram", _GRAM, _REQUIRED), ("max_iters", _integer, 5000), ("tol", _number, 1e-8))
+_PENALIZED = (*_SOLVE, ("lambda", _number, _REQUIRED))
+_PROJECT = _Tagged("mode", "vne_penalized", {
+    "vne_constrained": (*_SOLVE, ("rho", _number, _REQUIRED)),
+    "vne_penalized": _PENALIZED, "rke_penalized": _PENALIZED})
 
 COMMANDS = {
     "curve": RunCommand("curve", "Vendi score vs sample size from a file or cube mixture", (
@@ -396,12 +399,8 @@ COMMANDS = {
         ("alphabet_size", _integer, 1024), ("sizes", _ints, default_bias_grid()),
         ("trials", _integer, 10), *_SEED,
     ), _prepare_bias),
-    "project": RunCommand("projection", "entropy projection of weights on a fixed support", (
-        ("gram", _GRAM, _REQUIRED), ("mode", _one_of(*_SOLVERS), "vne_penalized"),
-        ("rho", _optional(_number), None), ("lambda", _optional(_number), None),
-        ("vendi_target", _optional(_number), None),
-        ("max_iters", _integer, 5000), ("tol", _number, 1e-8),
-    ), _prepare_project),
+    "project": RunCommand("projection", "entropy projection of weights on a fixed support",
+                          _PROJECT, _prepare_project),
     "guide": RunCommand("guidance", "guided vs unguided reverse diffusion on a 2D mixture", (
         ("layout", _LAYOUT, _REQUIRED), ("component_std", _number, 0.1),
         ("base_weights", _BASE_WEIGHTS, {"type": "uniform"}), ("n_samples", _integer, 1000),

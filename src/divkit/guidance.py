@@ -73,6 +73,14 @@ class MixtureSpec2D:
         std = self.component_std
         if not (0 < std and std * std < math.inf):  # the noised variances hold its square
             raise BadArguments(f"component_std must be > 0 with a finite square, got {std}")
+        # _score divides squared distances to the centers by twice a noised variance, at
+        # least 2 min(std^2, 1): a box diagonal D with D^2 up to min(std^2, 1) x max float
+        # keeps them finite for samples within 0.41 D of the box, and mode_spacing's too
+        diagonal = 2.0 * math.hypot(*np.ptp(centers / 2.0, axis=0))  # halves cannot overflow
+        limit = math.sqrt(min(std * std, 1.0) * np.finfo(float).max)
+        if not diagonal <= limit:
+            raise DataError(f"centers {centers.tolist()} spread too far for float64: their bounding "
+                            f"box diagonal {diagonal:.4g} is above {limit:.4g} at component_std {std}")
         w = w / total
         centers = np.ascontiguousarray(centers)
         centers.flags.writeable = False

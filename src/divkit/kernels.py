@@ -207,8 +207,8 @@ def _exact_sq(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.
     out = np.empty(i.size)
     step = max(1, _CHUNK // x.shape[1])
     for s in range(0, i.size, step):
-        diff = x[i[s:s + step]] - y[j[s:s + step]]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # rows beyond about 1e154 apart give inf
+            diff = x[i[s:s + step]] - y[j[s:s + step]]
             out[s:s + step] = np.einsum("ij,ij->i", diff, diff)
     return out
 
@@ -227,10 +227,10 @@ def _sq_rows(x: np.ndarray, y: np.ndarray):
     x_i - y_j, which overflow to inf rather than NaN.
     """
     self_block = y is x
-    centre = x.mean(axis=0)
-    a = x - centre
-    b = a if self_block else y - centre
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are redone below
+        centre = x.mean(axis=0)
+        a = x - centre
+        b = a if self_block else y - centre
         na = np.einsum("ij,ij->i", a, a)
         nb = na if self_block else np.einsum("ij,ij->i", b, b)
     bt = b.T.copy()  # a copy also keeps numpy off syrk, whose triangle copy is slow

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,20 +110,11 @@ class ProjectionResult:
     gap: float | None = None
 
     def to_payload(self) -> dict:
-        return {
-            "weights": list(self.q_star.weights),
-            "objective_trace": list(self.objective_trace),
-            "entropy_trace": list(self.entropy_trace),
-            "dual_trace": list(self.dual_trace),
-            "status": self.status,
-            "iterations": self.iterations,
-            "mode": self.mode,
-            "kd_to_uniform": self.kd_to_uniform,
-            "vendi_before": self.vendi_before,
-            "vendi_after": self.vendi_after,
-            "rke_before": self.rke_before,
-            "rke_after": self.rke_after,
-        }
+        """Every field but ``gap``, with ``q_star`` as its ``weights`` and traces as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("q_star", "gap")}
+        return {"weights": list(self.q_star.weights),
+                **{k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}}
 
 
 def _hold_floor(q: WeightVector) -> WeightVector:

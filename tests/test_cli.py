@@ -398,9 +398,14 @@ CURVE_OK = {"source": {"type": "cube_mixture", "dimension": 2},
 PROJECT_OK = {"gram": {"type": "embeddings", "path": "emb.csv",
                        "kernel": {"family": "gaussian", "bandwidth": 1.0}},
               "mode": "vne_penalized", "lambda": 0.1}
+#: a project config of the mode that takes rho, and so no lambda
+CONSTRAINED_OK = {"gram": PROJECT_OK["gram"], "mode": "vne_constrained", "rho": 1.5}
 GUIDE_OK = {"layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": 2.0},
             "n_samples": 4, "schedule": {"kind": "cosine", "steps": 20}}
 CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials": 30}
+#: the widest spacing of GUIDE_OK's 2 x 2 grid at component_std 0.1: a bounding-box
+#: diagonal of sqrt(min(0.1^2, 1) * max float)
+WIDEST_GRID = 0.1 * float(np.sqrt(np.finfo(float).max / 2.0))
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -415,7 +420,7 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("project", {k: v for k, v in PROJECT_OK.items() if k != "lambda"}, "lambda"),
     ("project", {**PROJECT_OK, "lambda": "big"}, "lambda"),
     ("project", {**PROJECT_OK, "mode": "vne_nope"}, "mode"),
-    ("project", {**PROJECT_OK, "mode": "vne_constrained"}, "rho"),
+    ("project", {k: v for k, v in CONSTRAINED_OK.items() if k != "rho"}, "rho"),
     ("guide", {**GUIDE_OK, "layout": {"type": "grid"}}, "layout.rows"),
     ("guide", {**GUIDE_OK, "layout": {"type": "hexagon"}}, "layout.type"),
     ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": 3}}, "layout.centers"),
@@ -439,7 +444,7 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("curve", {**CURVE_OK, "source": {"type": "cube_mixture", "dimension": True}},
      "source.dimension"),
     ("project", {**PROJECT_OK, "lambda": True}, "lambda"),
-    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": "1.5"}, "rho"),
+    ("project", {**CONSTRAINED_OK, "rho": "1.5"}, "rho"),
     ("project", {**PROJECT_OK, "gram": {**PROJECT_OK["gram"], "kernel": {"family": "gaussian",
                                                                          "bandwidth": "1"}}},
      "gram.kernel"),
@@ -455,8 +460,7 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("bias", {"trials": float("inf")}, "trials"),
     ("concentration", {**CONC_OK, "delta": float("inf")}, "delta"),
     ("guide", {**GUIDE_OK, "component_std": float("inf")}, "component_std"),
-    ("project", {**PROJECT_OK, "mode": "vne_constrained", "vendi_target": float("inf")},
-     "vendi_target"),
+    ("project", {**CONSTRAINED_OK, "vendi_target": float("inf")}, "vendi_target"),  # a deleted key
     ("curve", {**CURVE_OK, "kernel": {"family": "gaussian", "bandwidth": float("inf")}}, "kernel"),
     # a file names its own format: no config object has a "format" field
     ("curve", {**CURVE_OK, "source": {"type": "file", "path": "e.csv", "format": "xml"}},
@@ -465,7 +469,7 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     # a top-level key the command does not declare, a misspelling or a deleted knob, is an error
     ("project", {**PROJECT_OK, "eta": 0.5}, "eta"),
     ("project", {**PROJECT_OK, "mode": "rke_penalized", "gamma": 2.0}, "gamma"),
-    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5, "eta": 0.2}, "eta"),
+    ("project", {**CONSTRAINED_OK, "eta": 0.2}, "eta"),
     ("project", {**PROJECT_OK, "max_iter": 10}, "max_iter"),
     ("curve", {**CURVE_OK, "trial": 2}, "trial"),
     ("bias", {"alphabet_size": 8, "sizes": [8], "trial": 2}, "trial"),
@@ -496,9 +500,8 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     ("guide", {**GUIDE_OK, "base_weights": {"type": "explicit", "values": [1, 1, 1, 1],
                                             "ratio": 0.5}}, "base_weights.ratio"),
     ("guide", {**GUIDE_OK, "schedule": {"kind": "cosine", "step": 20}}, "schedule.step"),
-    # vne_constrained takes its target as rho or as vendi_target, not both
-    ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5, "vendi_target": 4.0},
-     "vendi_target"),
+    # each mode declares its one target; vendi_target, once a second spelling of rho, is gone
+    ("project", {**PROJECT_OK, "vendi_target": 4.0}, "vendi_target"),
     # the default bandwidth is half the mode spacing, which one mode does not have
     ("guide", {**GUIDE_OK, "layout": {"type": "circle", "n_modes": 1, "radius": 2.0}},
      "kernel_bandwidth"),
@@ -509,6 +512,13 @@ CONC_OK = {"kernel": {"family": "gaussian", "bandwidth": 0.1}, "m": 8, "trials":
     # the deleted second knob for the default bandwidth
     ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [2, 0]],
                                       "bandwidth_hint": 1.0}}, "layout.bandwidth_hint"),
+    # a key of another projection mode
+    ("project", {**PROJECT_OK, "rho": 1.5}, "rho"),
+    ("project", {**PROJECT_OK, "mode": "rke_penalized", "rho": 1.5}, "rho"),
+    ("project", {**PROJECT_OK, "mode": "rke_penalized", "vendi_target": 4.0}, "vendi_target"),
+    ("project", {**CONSTRAINED_OK, "lambda": 0.1}, "lambda"),
+    ("project", {**CONSTRAINED_OK, "vendi_target": 4.0}, "vendi_target"),
+    ("project", {**CONSTRAINED_OK, "rho": float("inf")}, "rho"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
@@ -525,20 +535,23 @@ def test_record_config_holds_resolved_nested_defaults(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_embeddings("emb.csv", np.random.default_rng(3).normal(size=(6, 2)))
     layout = {"type": "explicit", "centers": [[0, 0], [2, 0]]}
-    runs = {"project": PROJECT_OK,
-            "guide": {**GUIDE_OK, "layout": layout, "base_weights": {"type": "geometric"},
-                      "schedule": {"kind": "cosine"}}}
+    explicit = {"type": "explicit", "values": [4, 3, 2, 1]}
+    runs = {"project": ("project", PROJECT_OK),
+            "guide": ("guide", {**GUIDE_OK, "layout": layout, "base_weights": {"type": "geometric"},
+                                "schedule": {"kind": "cosine"}}),
+            "explicit": ("guide", {**GUIDE_OK, "base_weights": explicit})}
     config = {}
-    for command, cfg in runs.items():
-        Path(f"{command}.json").write_text(json.dumps(cfg))
-        assert run_cli([command, "--config", f"{command}.json", "--out", "out"]) == 0
-        (record,) = Path("out").glob(f"{command}-*/record.json")
-        config[command] = read_record(str(record)).payload["config"]
+    for name, (command, cfg) in runs.items():
+        Path(f"{name}.json").write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", f"{name}.json", "--out", name]) == 0
+        (record,) = Path(name).glob(f"{command}-*/record.json")
+        config[name] = read_record(str(record)).payload["config"]
     assert config["project"]["gram"] == PROJECT_OK["gram"]
     guide = config["guide"]
     assert guide["layout"] == {**layout, "weights": None}
     assert guide["base_weights"] == {"type": "geometric", "ratio": 0.6}
     assert guide["schedule"] == {"kind": "cosine", "steps": 200}
+    assert config["explicit"]["base_weights"] == explicit
 
 
 @pytest.mark.parametrize("command, text, found", [
@@ -598,6 +611,11 @@ SQUARE = "gaussian bandwidth must have a positive finite square, got"
     # the mirror of a gaussian kernel with no bandwidth
     (["score", "x.csv", "--kernel", "cosine", "--bandwidth", "1"], None, 1,
      "the gaussian kernel needs --bandwidth; cosine takes none"),
+    # a layout so spread that the sampler's exponents (squared distances over twice a noised
+    # variance) or mode_spacing's squares may overflow; the error names the centers
+    *[(["guide"], {**GUIDE_OK, "layout": {"type": "grid", "rows": 2, "cols": 2, "spacing": s}}, 2,
+       f"centers [[{-s / 2!r}, {-s / 2!r}], ") for s in (WIDEST_GRID * (1 + 1e-9), 3e153, 6e153,
+                                                         1e154, 1e155, 1e200)],
 ])
 def test_out_of_domain_scale_or_count_fails_before_any_output(tmp_path, monkeypatch, capsys, args,
                                                               cfg, code, message):
@@ -628,6 +646,24 @@ def test_bandwidth_with_the_least_normal_square_runs_quietly(tmp_path, monkeypat
     assert score["log_vendi"] == pytest.approx(np.log(n), rel=1e-15)
     Path("cfg.json").write_text(json.dumps({**GUIDE_OK, "kernel_bandwidth": 1.6e-154}))
     assert run_cli(["guide", "--config", "cfg.json", "--out", "out"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_score_of_rows_near_the_float_limit_runs_quietly(tmp_path, monkeypatch, capsys):
+    # the differences of the first two rows overflow: every off-diagonal kernel entry is 0
+    monkeypatch.chdir(tmp_path)
+    Path("x.csv").write_text("1e308,0\n-1e308,0\n0,1\n")
+    assert run_cli(["score", "x.csv", "--bandwidth", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["score"]["rke"] == 3
+
+
+def test_guide_layout_at_the_float64_spread_bound_runs_quietly(tmp_path, capsys):
+    path = tmp_path / "guide.json"
+    layout = {"type": "grid", "rows": 2, "cols": 2, "spacing": WIDEST_GRID * (1 - 1e-9)}
+    path.write_text(json.dumps({**GUIDE_OK, "layout": layout}))
+    assert run_cli(["guide", "--config", path, "--out", tmp_path / "out"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -684,15 +720,14 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsy
     assert os.listdir(run_dir) == ["keep.txt"]
 
 
-@pytest.mark.parametrize("target", [0, -2.0])
-def test_non_positive_vendi_target_is_a_data_error_before_any_output(tmp_path, capsys, target):
+@pytest.mark.parametrize("mode", ["vne_penalized", "rke_penalized"])
+def test_negative_lambda_is_a_data_error_before_any_output(tmp_path, capsys, mode):
     path = tmp_path / "project.json"
-    path.write_text(json.dumps({**PROJECT_OK, "mode": "vne_constrained", "vendi_target": target}))
+    path.write_text(json.dumps({**PROJECT_OK, "mode": mode, "lambda": -0.5}))
     out = tmp_path / "out"
     assert run_cli(["project", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("divkit: data error:")
-    assert "'vendi_target'" in err[0]
+    assert err == ["divkit: data error: lambda must be finite and >= 0, got -0.5"]
     assert not out.exists()
 
 
@@ -745,8 +780,7 @@ GOLDEN_CONFIGS = {
     "concentration": ("concentration", {"dimension": 3, "component_std": 1e-3,
                                         "kernel": {"family": "gaussian", "bandwidth": 0.5},
                                         "m": 8, "trials": 30, "delta": 0.1, "seed": 3}),
-    "vne_constrained": ("project", {**PROJECT_OK, "mode": "vne_constrained", "rho": 1.5,
-                                    "max_iters": 20}),
+    "vne_constrained": ("project", {**CONSTRAINED_OK, "max_iters": 20}),
     "vne_penalized": ("project", {**PROJECT_OK, "lambda": 1, "max_iters": 50}),
     "rke_penalized": ("project", {**PROJECT_OK, "mode": "rke_penalized", "lambda": 0.5}),
     "grid": ("guide", {**GUIDE_OK, "n_samples": 6, "schedule": {"kind": "cosine", "steps": 12},
@@ -773,12 +807,12 @@ GOLDEN = {
                 "e1b8e6dc65fa1ca98f2512a27cad165df0fffc7239269b6c86e3588b38bda68b"),
     "concentration": ("concentration-7c686229cf3c",
                         "4947d3481e8e542b601886e35c8bf3ba9aa9faadd0f0d947af05874ad5e0a1c8"),
-    "vne_constrained": ("project-477e8f92ad31",
-                          "2b9226780fa5ee5e19737cd30c9d8c52d0dcb5eb1ed6287c645313a01d60db26"),
-    "vne_penalized": ("project-846fca70b05b",
-                        "0d42c4c2511b0c753d3b7a5857c159b9c7f40d381c03c331ca064205213d2f8f"),
-    "rke_penalized": ("project-1f7ea9413a9f",
-                        "d9c7368253550a15837a44f5801d2b1bee1c4b5b40184d187188d1cd83be75d1"),
+    "vne_constrained": ("project-3614feb61e5b",
+                          "6a513e7bcd9a8df5a923591669c0b327fee5a3d725e85653a2f28b3583686106"),
+    "vne_penalized": ("project-128e0c20c289",
+                        "cb8194b39c1c8b80cb5513288152beea835a3cc0419d4536d718604dcbc6bcc8"),
+    "rke_penalized": ("project-514e1cf117f2",
+                        "d0b0ae3d33dff14a15691fa58a4df0dec47762f40141be5f4382a269c7e84168"),
     "grid": ("guide-31f0284026f0",
                "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
     "circle": ("guide-dbf7630810a4",

@@ -327,6 +327,21 @@ def test_gaussian_rows_near_1e200_give_zero_not_nan():
     assert np.array_equal(cross(x, y, spec), np.zeros((20, 15)))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1e308], [-1e308]],  # their difference overflows
+    [[1e308], [1e308], [1.5e308]],  # the sum behind their mean overflows
+    [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]],
+])
+def test_gaussian_rows_near_the_float_limit_are_quiet_and_agree_with_paired(rows):
+    # pytest turns the warnings of an overflow into errors
+    x, spec = np.array(rows), KernelSpec("gaussian", 1.0)
+    k = cross(x, x, spec)
+    i, j = np.triu_indices(len(x))
+    assert np.array_equal(k[i, j], paired(x[i], x[j], spec))
+    # equal rows give 1, the others are too far apart for anything but 0
+    assert np.array_equal(k, (x[:, None, :] == x[None, :, :]).all(axis=2).astype(float))
+
+
 #: the smallest bandwidth whose square is a normal float, and the largest whose
 #: doubled square is finite
 SMALLEST_BW = float(np.sqrt(np.finfo(float).tiny))

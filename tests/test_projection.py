@@ -125,6 +125,18 @@ def test_project_vne_infeasible_above_log_n():
     assert res.status == "infeasible"
 
 
+def test_project_vne_stops_infeasible_where_the_violation_stagnates():
+    # rho = 2.0 is below log 10, so the solve starts; the violation then stops shrinking
+    # while the multiplier climbs past its ceiling
+    k = gram(EmbeddingSet(np.random.default_rng(0).normal(size=(10, 3))), KernelSpec("gaussian", 1.0))
+    cfg = ProjectionConfig()
+    res = project_vne(k, 2.0, cfg)
+    assert res.status == "infeasible"
+    assert res.iterations < cfg.max_iters
+    assert res.dual_trace[-1] > divkit.projection._LAMBDA_CEILING
+    assert res.entropy_trace[-1] < 2.0
+
+
 def test_project_vne_two_block_grid_oracle():
     m1, m2 = 18, 2
     k = two_block_gram(m1, m2)

@@ -118,24 +118,37 @@ def _readme_config_table():
     return table
 
 
+def _choices(fields) -> dict:
+    """{tag value: fields} of a ``cli._Tagged`` table; plain fields are one untagged choice."""
+    return fields.fields if isinstance(fields, cli._Tagged) else {None: fields}
+
+
 def test_readme_config_table_matches_the_commands():
     # cli.COMMANDS declares each config key and nested field once; README's table,
-    # which leaves seed and stream_id to its prose, names the same ones
+    # which leaves seed and stream_id to its prose, names the same ones.  Where a tag
+    # picks the top-level keys (project's "mode"), the tag's row names every choice,
+    # and a row that names some choices in its type cell is a key of those alone
     table = _readme_config_table()
     assert set(table) == set(cli.COMMANDS)
     for name, command in cli.COMMANDS.items():
-        assert set(table[name]) == {key for key, _, _ in command.keys} - {"seed", "stream_id"}
-        for key, cast, _ in command.keys:
-            if not isinstance(cast, (tuple, dict)):
-                continue  # a leaf, not a nested object
-            cell, tagged = table[name][key], isinstance(cast, dict)
-            fields = cast.values() if tagged else [cast]
-            declared = {field for each in fields for field, _, _ in each}
-            declared |= {"type"} if tagged else set()
-            # a quoted name after ': ' or 'or ' is a value, such as a tag; the others are fields
-            assert set(re.findall(r'(?<!: )(?<!or )"(\w+)"', cell)) == declared, (name, key)
-            if tagged:
-                assert set(re.findall(r'"type": "(\w+)"', cell)) == set(cast), (name, key)
+        rows, choices = dict(table[name]), _choices(command.keys)
+        if isinstance(command.keys, cli._Tagged):
+            assert set(re.findall(r"`(\w+)`", rows.pop(command.keys.tag))) == set(choices), name
+        only = {key: set(re.findall(r"`(\w+)`", cell)) & set(choices) for key, cell in rows.items()}
+        for choice, fields in choices.items():
+            shown = {key for key, tags in only.items() if not tags or choice in tags}
+            assert shown == {key for key, _, _ in fields} - {"seed", "stream_id"}, (name, choice)
+            for key, cast, _ in fields:
+                if not isinstance(cast, tuple):
+                    continue  # a leaf, not a nested object
+                tagged = isinstance(cast, cli._Tagged)
+                declared = {field for each in _choices(cast).values() for field, _, _ in each}
+                declared |= {cast.tag} if tagged else set()
+                # a quoted name after ': ' or 'or ' is a value, such as a tag; the others are fields
+                assert set(re.findall(r'(?<!: )(?<!or )"(\w+)"', rows[key])) == declared, (name, key)
+                if tagged:
+                    tags = re.findall(rf'"{cast.tag}": "(\w+)"', rows[key])
+                    assert set(tags) == set(cast.fields), (name, key)
 
 
 def _slow_tests():
