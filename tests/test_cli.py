@@ -512,12 +512,12 @@ WIDEST_GRID = 0.1 * float(np.sqrt(np.finfo(float).max / 2.0))
     # the deleted second knob for the default bandwidth
     ("guide", {**GUIDE_OK, "layout": {"type": "explicit", "centers": [[0, 0], [2, 0]],
                                       "bandwidth_hint": 1.0}}, "layout.bandwidth_hint"),
-    # a key of another projection mode
+    # a target of another projection mode, or the deleted vendi_target
     ("project", {**PROJECT_OK, "rho": 1.5}, "rho"),
     ("project", {**PROJECT_OK, "mode": "rke_penalized", "rho": 1.5}, "rho"),
     ("project", {**PROJECT_OK, "mode": "rke_penalized", "vendi_target": 4.0}, "vendi_target"),
     ("project", {**CONSTRAINED_OK, "lambda": 0.1}, "lambda"),
-    ("project", {**CONSTRAINED_OK, "vendi_target": 4.0}, "vendi_target"),
+    # rho, like every number key, must be finite
     ("project", {**CONSTRAINED_OK, "rho": float("inf")}, "rho"),
 ])
 def test_malformed_config_is_a_usage_error_before_any_output(tmp_path, capsys, command, cfg, key):
