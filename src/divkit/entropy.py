@@ -234,8 +234,9 @@ class DiversityScore:
 
 
 def rke(k: GramMatrix) -> float:
-    """n^2 / sum(K_ij^2): the Frobenius form of the order-2 score."""
-    total = float((k.values * k.values).sum())
+    """n^2 / sum(K_ij^2): the Frobenius form of the order-2 score, summed
+    without an n x n temporary."""
+    total = float(np.einsum("ij,ij->", k.values, k.values))
     return k.n * k.n / total
 
 

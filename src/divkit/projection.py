@@ -54,6 +54,7 @@ _ETA_GROWTH_CAP = 1024.0
 _ETA0 = 0.1  # vne_constrained's first EG step
 _GAMMA0 = 1.0  # vne_constrained's first dual step
 _EPS = float(np.finfo(np.float64).eps)
+_ROW_BLOCK = 64  # rows per block of rke_penalized's n-wide temporaries
 
 _LOG = logging.getLogger("divkit")
 
@@ -458,48 +459,88 @@ def project_vendi_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) ->
                    iterations, "vne_penalized", gradient(at)[1])
 
 
-def _pivoted_cholesky(a: np.ndarray, tiny: float):
-    """Greedy diagonal-pivoted Cholesky, as LAPACK's dpstrf: step j swaps the
-    largest remaining diagonal a_pp - sum_k c_kp^2 into place j and stops once
-    it is <= ``tiny``.  Returns the upper triangular c, rank x rank, with
-    c^T c = a[perm, perm] on the leading block, and the permutation perm."""
-    c, sq, perm = np.zeros_like(a), np.zeros(len(a)), np.arange(len(a))
-    for j in range(len(a)):
-        resid = a.diagonal() - sq
+def _duplicate_rows(a: np.ndarray):
+    """The first index of each group of exactly equal rows of ``a`` and each
+    row's group, as np.unique(a, axis=0, return_index=True,
+    return_inverse=True): groups in lexicographic order of their rows, -0.0
+    equal to 0.0.  A stable lexsort on the columns orders the rows, and
+    neighbours in that order are compared _ROW_BLOCK rows at a time, so no
+    temporary is larger than a block of rows."""
+    n = len(a)
+    order = np.lexsort(a.T[::-1])
+    first = np.ones(n, dtype=bool)
+    for lo in range(1, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        first[lo:hi] = (a[order[lo:hi]] != a[order[lo - 1:hi - 1]]).any(axis=1)
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return order[first], group
+
+
+def _pivoted_cholesky(row, diag: np.ndarray, tiny: float):
+    """Greedy diagonal-pivoted Cholesky of the PSD a with rows ``row(i)`` and
+    diagonal ``diag``, as LAPACK's dpstrf: step j swaps the largest remaining
+    diagonal a_pp - sum_k c_kp^2 into place j and stops once it is <= ``tiny``.
+    Returns c, n x n, whose leading rank x rank block is the upper triangular
+    factor with c^T c = a[perm, perm] there, the rank and the permutation
+    perm.  The columns are permuted and the lower triangle zeroed in place,
+    _ROW_BLOCK rows at a time."""
+    n = diag.size
+    c, sq, perm = np.zeros((n, n)), np.zeros(n), np.arange(n)
+    rank = n
+    for j in range(n):
+        resid = diag - sq
         p = j + int(np.argmax(resid[perm[j:]]))
         if resid[perm[p]] <= tiny:
-            return np.triu(c[:j, perm[:j]]), perm
+            rank = j
+            break
         perm[[j, p]] = perm[[p, j]]
         i = perm[j]
-        c[j] = (a[i] - c[:j, i] @ c[:j]) / math.sqrt(resid[i])
+        c[j] = (row(i) - c[:j, i] @ c[:j]) / math.sqrt(resid[i])
         sq += c[j] * c[j]
-    return np.triu(c[:, perm]), perm
+    for lo in range(0, rank, _ROW_BLOCK):
+        c[lo:lo + _ROW_BLOCK, :rank] = np.triu(c[lo:lo + _ROW_BLOCK, perm[:rank]], lo)
+    return c, rank, perm
 
 
-def _border(w: np.ndarray, g_bj: np.ndarray, g_jj: float, tiny: float):
-    """The inverse factor w (w w^T = G^-1) of G bordered by column g_bj and
-    diagonal g_jj; None when the Schur complement is <= ``tiny``."""
-    col = w.T @ g_bj
+def _border(w: np.ndarray, size: int, g_bj: np.ndarray, g_jj: float, tiny: float) -> bool:
+    """Border the inverse factor in the leading ``size`` x ``size`` block of w
+    (w w^T = G^-1) by column g_bj and diagonal g_jj of G, in place, to the
+    leading (size + 1) x (size + 1) block; False, with w as it was, when the
+    Schur complement is <= ``tiny``."""
+    f = w[:size, :size]
+    col = f.T @ g_bj
     s = g_jj - col @ col
     if s <= tiny:
-        return None
+        return False
     r = 1.0 / math.sqrt(s)
-    return np.block([[w, -r * (w @ col)[:, None]], [np.zeros((1, col.size)), r]])
+    w[:size, size] = -r * (f @ col)
+    w[size, :size] = 0.0
+    w[size, size] = r
+    return True
 
 
-def _drop(w: np.ndarray, pos: int) -> np.ndarray:
-    """The inverse factor w (w w^T = G^-1) of G without row and column ``pos``.
+def _drop(w: np.ndarray, size: int, pos: int) -> None:
+    """Fold row and column ``pos`` out of the inverse factor in the leading
+    ``size`` x ``size`` block of w (w w^T = G^-1), in place, leaving that of G
+    without them in the leading (size - 1) x (size - 1) block.
 
     Givens rotations of the column pairs (i, i+1), i >= pos, fold row pos into
     the last column; without that row and column, the rest W' is upper
     triangular and W' W'^T is the Schur complement of G^-1 at (pos, pos), G'^-1.
     With r = w[pos] and a_i = hypot(a_i-1, r_i) (a_pos = r_pos), rotation i
-    takes column i, x_i = sum_k<=i r_k w_k / a_i, to (r_i+1 x_i - a_i w_i+1) / a_i+1."""
-    r = w[pos, pos:]
+    takes column i, x_i = sum_k<=i r_k w_k / a_i, to (r_i+1 x_i - a_i w_i+1) / a_i+1.
+    Each block of _ROW_BLOCK rows takes its new columns in turn; then the rows
+    below pos move up by one."""
+    r = w[pos, pos:size].copy()
     a = np.hypot.accumulate(r)
-    x = np.cumsum(w[:, pos:] * r, axis=1) / a
-    tail = (r[1:] * x[:, :-1] - a[:-1] * w[:, pos + 1:]) / a[1:]
-    return np.delete(np.hstack([w[:, :pos], tail]), pos, axis=0)
+    for lo in range(0, size, _ROW_BLOCK):
+        rows = w[lo:min(lo + _ROW_BLOCK, size)]
+        x = np.cumsum(rows[:, pos:size] * r, axis=1) / a
+        rows[:, pos:size - 1] = (r[1:] * x[:, :-1] - a[:-1] * rows[:, pos + 1:size]) / a[1:]
+    for lo in range(pos, size - 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, size - 1)
+        w[lo:hi, :size - 1] = w[lo + 1:hi + 1, :size - 1]
 
 
 def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> ProjectionResult:
@@ -518,26 +559,42 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
     one index and split its weight.  Indices that the first, pivoted,
     factorization finds dependent (f is flat along them) keep their weight
     until a full step zeroes it, and are retried after each drop.
+
+    A solve holds four n x n float64 buffers: the caller's K, its copy kk in
+    grouped order, Ktilde = kk * kk and W, which takes the pivoted factor's
+    buffer and is bordered and folded in place.  G's entries are formed
+    where they are read (pivot rows, bordered columns, the diagonal and the
+    dependents' block of the right-hand side); other temporaries are blocks
+    of _ROW_BLOCK rows.  The high point is ``np.linalg.inv`` of the factor:
+    K, kk, the factor and its inverse, and LAPACK's two untraced copies.
+    The QP's buffers are freed before the two ``vne_weighted`` summaries.
     """
     _check_lambda(lam)
-    _, rep, group = np.unique(k.values, axis=0, return_index=True, return_inverse=True)
-    group = group.ravel()
+    rep, group = _duplicate_rows(k.values)
     size = np.bincount(group)
     kk = k.values[np.ix_(rep, rep)]
     w = w0 = size / k.n
     m = w.size
+
+    def g_at(index):
+        # entries of G = kk + lam * kk2 + 1.0, formed where they are read
+        x = kk[index]
+        return x + lam * (x * x) + 1.0
+
+    diag = g_at(np.diag_indices(m))
+    tiny = m * _EPS * diag.max()
+    winv, rank, perm = _pivoted_cholesky(g_at, diag, tiny)
+    winv[:rank, :rank] = np.linalg.inv(winv[:rank, :rank])
+    basis, pending = list(perm[:rank]), list(perm[rank:])
+    rows = np.array(basis)  # the basis as an index array, renewed as it changes
     kk2 = kk * kk
-    gmat = kk + lam * kk2 + 1.0
-    tiny = m * _EPS * gmat.diagonal().max()
-    chol, perm = _pivoted_cholesky(gmat, tiny)
-    winv, basis, pending = np.linalg.inv(chol), list(perm[:len(chol)]), list(perm[len(chol):])
 
     def border(j) -> bool:
-        nonlocal winv
-        if (grown := _border(winv, gmat[basis, j], gmat[j, j], tiny)) is not None:
-            winv = grown
+        nonlocal rows
+        if bordered := _border(winv, len(basis), g_at((rows, j)), diag[j], tiny):
             basis.append(j)
-        return grown is not None
+            rows = np.array(basis)
+        return bordered
 
     def gradient(w):
         k2w = kk2 @ w
@@ -560,8 +617,11 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
                 pending.append(j)
         # the step d with the dependents going to 0 solves
         # G_BB d_B + mu 1 = -g_B / 2 + G_BD w_D with 1^T d_B = sum(w_D)
-        rhs = g[basis] / 2.0 - gmat[np.ix_(basis, pending)] @ w[pending]
-        sol = winv @ (winv.T @ np.column_stack([rhs, np.ones(len(basis))]))
+        rhs = g[basis] / 2.0
+        for lo in range(0, len(basis) if pending else 0, _ROW_BLOCK):
+            rhs[lo:lo + _ROW_BLOCK] -= g_at(np.ix_(basis[lo:lo + _ROW_BLOCK], pending)) @ w[pending]
+        b = len(basis)
+        sol = winv[:b, :b] @ (winv[:b, :b].T @ np.column_stack([rhs, np.ones(b)]))
         mu = -(sol[:, 0].sum() + w[pending].sum()) / sol[:, 1].sum()
         d = np.zeros(m)
         d[basis] = -sol[:, 0] - mu * sol[:, 1]
@@ -578,8 +638,9 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
             pending.remove(out)
         else:
             new_w[out] = 0.0
-            winv = _drop(winv, basis.index(out))
+            _drop(winv, len(basis), basis.index(out))
             basis.remove(out)
+            rows = np.array(basis)
             pending = [j for j in pending if not border(j)]
         new_w /= new_w.sum()
         step, w = new_w - w, new_w
@@ -589,6 +650,7 @@ def project_rke_penalized(k: GramMatrix, lam: float, cfg: ProjectionConfig) -> P
         objective_trace.append(objective_trace[-1] + min(0.0, float(step @ (g + new_g)) / 2.0))
         entropy_trace.append(-math.log(inv_rke))
         g = new_g
+    del kk, kk2, winv  # the summaries' eigensolves run without the QP's buffers
     q_star = WeightVector(w[group] / size[group])
     return _finish(k, q_star, (vne_weighted(k, WeightVector.uniform(k.n)), inv_rke0),
                    (vne_weighted(k, q_star), inv_rke), objective_trace, entropy_trace, [], status,

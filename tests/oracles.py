@@ -3,7 +3,9 @@
 Nothing in divkit calls these: each is the plain, direct form of a quantity
 the library computes another way (scalar kernels for ``kernels.cross`` and
 ``kernels.paired``, the Gaussian block with no exponent floor, the
-Hadamard-square Gram and q^T Ktilde q for the RKE solver, the entropy
+Hadamard-square Gram and q^T Ktilde q for the RKE solver, its grouping of
+duplicate rows by ``np.unique`` and its out-of-place inverse-factor
+updates, the entropy
 gradient over live eigenpairs, the explicit entropy Hessian for the Newton
 steps' products, the guidance objective for its closed-form gradient, the
 noised log-density for the closed-form score, the guided pass stepping
@@ -156,6 +158,35 @@ def inverse_rke_weighted(k2: GramMatrix, q: WeightVector) -> float:
     """
     _check_dims(k2, q)
     return float(q.weights @ k2.values @ q.weights)
+
+
+# -- rke_penalized's active set --------------------------------------------------
+
+def duplicate_rows(a: np.ndarray):
+    """The first index of each group of exactly equal rows and each row's group."""
+    _, rep, group = np.unique(a, axis=0, return_index=True, return_inverse=True)
+    return rep, group.ravel()
+
+
+def border_factor(w: np.ndarray, g_bj: np.ndarray, g_jj: float, tiny: float):
+    """The inverse factor w (w w^T = G^-1) of G bordered by column g_bj and
+    diagonal g_jj, as a new array; None when the Schur complement is <= ``tiny``."""
+    col = w.T @ g_bj
+    s = g_jj - col @ col
+    if s <= tiny:
+        return None
+    r = 1.0 / math.sqrt(s)
+    return np.block([[w, -r * (w @ col)[:, None]], [np.zeros((1, col.size)), r]])
+
+
+def drop_factor(w: np.ndarray, pos: int) -> np.ndarray:
+    """The inverse factor w of G without row and column ``pos``, as a new
+    array: the Givens rotations of ``projection._drop`` on whole columns."""
+    r = w[pos, pos:]
+    a = np.hypot.accumulate(r)
+    x = np.cumsum(w[:, pos:] * r, axis=1) / a
+    tail = (r[1:] * x[:, :-1] - a[:-1] * w[:, pos + 1:]) / a[1:]
+    return np.delete(np.hstack([w[:, :pos], tail]), pos, axis=0)
 
 
 # -- guidance --------------------------------------------------------------------

@@ -741,8 +741,8 @@ SCORE_CASES = {
 
 # sha256 of the standard output of each score case above
 SCORE_GOLDEN = {
-    "gaussian_against": "dc20a9256aa0aa6acc96e5e124c29bf77c9199a56e976edd733b101be3313e07",
-    "cube_mixture_flushed": "c582ce5b24448e225bed6ae8626dceb6f13734d19edc211d62dde7686dac04b3",
+    "gaussian_against": "3ae9b05082954ca1f0123c8370878c836fe2500c9df3a4cf6c7a6ea1b49c4a3a",
+    "cube_mixture_flushed": "b962ddc0dede2f79d945337ef2181136734f4d56718a60657779f66c3a2e1d84",
     "cosine_against": "fda98aaef947c4eb0a248339109ff854235051795cac6ee434e335b4ee82d9a4",
     "cosine_wide": "402fb543d91ca2fc902fcc3d4512648a11d9badc5a73460620eee11752d28f8d",
 }
@@ -814,13 +814,13 @@ GOLDEN = {
     "rke_penalized": ("project-514e1cf117f2",
                         "d0b0ae3d33dff14a15691fa58a4df0dec47762f40141be5f4382a269c7e84168"),
     "grid": ("guide-31f0284026f0",
-               "2dba4f30e4a6773d702aa2031110248a8e1f1d943f294f1f2602e5cccd79e211"),
+               "ad7360ed342f88cedd6465c00eadf5bc05c6046835374d396c98c20f5f0ddc76"),
     "circle": ("guide-dbf7630810a4",
-                 "fdf1645491cd6e20247ce500aec1ff07eef53c36984598ef9dc1872d17b25123"),
+                 "229856fa36ba22f82978d2ec9fd4429d9b4fef716c2f0a3433634c58d002ede7"),
     "explicit": ("guide-2729c86e80b3",
-                   "ab40d3d87180bd16a5960c87f7cb09c26d1cb0fa0e3a5aa02a5f2b671c7fccf4"),
+                   "2e274703dbcaa08fb80ce72c9d654a9f73003b39f44efc97b5047f036944227a"),
     "every_k": ("guide-d57d736e3c58",
-                  "05d97cc00023b2db61d8c0f0097f2f0bbd718d6066448a469696d7d00b29ca4f"),
+                  "81e25d78a1f28359ed3cf10deb3a105e63c2ebd997a08d62505b5e179f8b5baa"),
 }
 
 

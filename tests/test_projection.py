@@ -10,7 +10,7 @@ from scipy.linalg import lapack
 
 import divkit.projection
 
-from divkit.dataio import EmbeddingSet
+from divkit.dataio import EmbeddingSet, write_matrix_container
 from divkit.discrepancy import kd_fixed_support
 from divkit.entropy import (
     WeightVector,
@@ -21,12 +21,13 @@ from divkit.entropy import (
     weighted_gram,
 )
 from divkit.errors import BadArguments
-from divkit.kernels import KernelSpec, gram
+from divkit.kernels import KernelSpec, gram, load_gram
 from divkit.projection import (
     _NEWTON_WINDOW,
     ProjectionConfig,
     _border,
     _drop,
+    _duplicate_rows,
     _kd_and_grad,
     _pivoted_cholesky,
     _Point,
@@ -36,7 +37,10 @@ from divkit.projection import (
     project_vne,
 )
 from oracles import (
+    border_factor,
     cluster_gram,
+    drop_factor,
+    duplicate_rows,
     gram_from_values,
     hadamard_square,
     inverse_rke_weighted,
@@ -555,14 +559,14 @@ def test_singular_cosine_gram_takes_every_dependent_index_path(monkeypatch):
     # a pivoted start that stops short, refused borders and drops, in one solve
     seen = {"rank": None, "refused": 0, "drops": 0}
 
-    def pivoted_cholesky(a, tiny):
-        chol, perm = _pivoted_cholesky(a, tiny)
-        seen["rank"] = (len(chol), len(a))
-        return chol, perm
+    def pivoted_cholesky(row, diag, tiny):
+        c, rank, perm = _pivoted_cholesky(row, diag, tiny)
+        seen["rank"] = (rank, len(diag))
+        return c, rank, perm
 
     def border(*args):
         grown = _border(*args)
-        seen["refused"] += grown is None
+        seen["refused"] += not grown
         return grown
 
     def drop(*args):
@@ -588,8 +592,9 @@ def test_pivoted_cholesky_matches_dpstrf(n, d):
     a = x @ x.T
     tiny = n * np.finfo(np.float64).eps * a.diagonal().max()
     ufac, piv, rank, _ = lapack.dpstrf(a, tol=tiny)
-    chol, perm = _pivoted_cholesky(a, tiny)
-    assert len(chol) == rank == min(n, d)
+    c, got_rank, perm = _pivoted_cholesky(a.__getitem__, a.diagonal(), tiny)
+    chol = c[:got_rank, :got_rank]
+    assert got_rank == rank == min(n, d) and not np.tril(chol, -1).any()
     np.testing.assert_array_equal(perm, piv - 1)  # no tied diagonals in continuous data
     ref = np.triu(ufac[:rank, :rank])
     assert np.abs(chol - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -611,25 +616,117 @@ def test_border_and_drop_keep_the_inverse_factor(seed):
     x = rng.normal(size=(n, n + 10))
     g = x @ x.T / n
     basis = list(rng.permutation(n)[:5])
-    w = np.linalg.inv(np.linalg.cholesky(g[np.ix_(basis, basis)]).T)
+    # NaN outside the factor: an update that read past it would spread them
+    buf = np.full((n, n), np.nan)
+    buf[:5, :5] = np.linalg.inv(np.linalg.cholesky(g[np.ix_(basis, basis)]).T)
     tiny = n * np.finfo(np.float64).eps * g.diagonal().max()
     for _ in range(80):
         rest = [j for j in range(n) if j not in basis]
         if len(basis) > 1 and (not rest or rng.random() < 0.5):
             pos = int(rng.integers(len(basis)))
-            ref = _drop_by_rotations(w, pos)
-            w = _drop(w, pos)
-            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref = _drop_by_rotations(buf[:len(basis), :len(basis)], pos)
+            _drop(buf, len(basis), pos)
             basis.pop(pos)
+            w = buf[:len(basis), :len(basis)]
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
         else:
             j = int(rng.choice(rest))
-            w = _border(w, g[basis, j], g[j, j], tiny)
+            assert _border(buf, len(basis), g[basis, j], g[j, j], tiny)
             basis.append(j)
+        w = buf[:len(basis), :len(basis)]
         assert not np.tril(w, -1).any()
         inv = np.linalg.inv(g[np.ix_(basis, basis)])
         assert np.abs(w @ w.T - inv).max() <= 1e-10 * np.abs(inv).max()
-    # an index already in the basis is dependent: its border is refused
-    assert _border(w, g[basis, basis[0]], g[basis[0], basis[0]], tiny) is None
+    # an index already in the basis is dependent: its border is refused, w untouched
+    before = buf.copy()
+    assert not _border(buf, len(basis), g[basis, basis[0]], g[basis[0], basis[0]], tiny)
+    np.testing.assert_array_equal(buf, before)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("size", [1, 2, 9, 64, 150])
+def test_in_place_factor_updates_match_the_out_of_place_formulas(where, size):
+    # 150 rows span three row blocks; each factor sits in a larger NaN buffer
+    rng = np.random.default_rng([size, len(where)])
+    w = np.triu(rng.normal(size=(size, size)))
+    w[np.diag_indices(size)] = rng.uniform(0.5, 2.0, size=size)
+    buf = np.full((size + 3, size + 3), np.nan)
+    buf[:size, :size] = w
+    pos = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+    _drop(buf, size, pos)
+    assert buf[:size - 1, :size - 1].tobytes() == drop_factor(w, pos).tobytes()
+
+    buf[:size, :size] = w
+    g_bj = rng.normal(size=size)
+    col = w.T @ g_bj
+    g_jj = float(col @ col) + 0.5
+    assert _border(buf, size, g_bj, g_jj, 1e-12)
+    assert buf[:size + 1, :size + 1].tobytes() == border_factor(w, g_bj, g_jj, 1e-12).tobytes()
+    # a Schur complement at or below ``tiny``: refused by both, w untouched
+    before = buf.copy()
+    assert border_factor(w, g_bj, g_jj, 0.5) is None
+    assert not _border(buf, size, g_bj, g_jj, 0.5)
+    assert buf.tobytes() == before.tobytes()
+
+
+def _signed_zero_gram(tmp_path):
+    """A GRAM container whose rows 0 and 2 differ only in the sign of a zero."""
+    values = np.array([[1.0, 0.0, 1.0, 0.3],
+                       [0.0, 1.0, -0.0, 0.2],
+                       [1.0, -0.0, 1.0, 0.3],
+                       [0.3, 0.2, 0.3, 1.0]])
+    path = tmp_path / "signed_zero.gram"
+    write_matrix_container(str(path), values)
+    k = load_gram(str(path))
+    assert np.signbit(k.values[2, 1]) and not np.signbit(k.values[0, 1])
+    return k.values
+
+
+@pytest.mark.parametrize("case", ["duplicates", "signed_zero", "all_equal", "single"])
+def test_duplicate_rows_group_as_unique_does(tmp_path, case):
+    if case == "duplicates":
+        x = _cluster_gram_points()
+        x = np.vstack([x, x[:4], x[7:9]])[np.random.default_rng(1).permutation(len(x) + 6)]
+        a = gram(EmbeddingSet(x), KernelSpec("gaussian", 1.0)).values
+    elif case == "signed_zero":
+        a = _signed_zero_gram(tmp_path)
+    else:
+        a = np.ones((5, 5) if case == "all_equal" else (1, 1))
+    rep, group = _duplicate_rows(a)
+    ref_rep, ref_group = duplicate_rows(a)
+    np.testing.assert_array_equal(rep, ref_rep)
+    np.testing.assert_array_equal(group, ref_group)
+    n_groups = {"duplicates": len(a) - 6, "signed_zero": 3, "all_equal": 1, "single": 1}[case]
+    assert len(rep) == n_groups
+
+
+def test_rke_penalized_holds_four_gram_sized_buffers(monkeypatch):
+    import tracemalloc
+
+    n = 512
+    x = np.random.default_rng([2, n]).standard_normal((n, 8))
+    # LAPACK's copies are not traced, so also take what is held at each solve
+    held = {"inv": [], "eigvalsh": []}
+    for name in held:
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real, name=name: (
+            held[name].append(tracemalloc.get_traced_memory()[0]) or real(a)))
+    tracemalloc.start()
+    try:
+        k = gram(EmbeddingSet(x), KernelSpec("gaussian", 2.0))
+        res = project_rke_penalized(k, 0.5, ProjectionConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged" and len(held["inv"]) == 1 and len(held["eigvalsh"]) == 2
+    gram_size = 8 * n * n
+    # K, its permuted copy, Ktilde and the inverse factor W, and a few blocks
+    # of rows (4.19 at n=512, where the parent's copies gave 9.4)
+    assert peak <= 4.5 * gram_size
+    # K, its permuted copy and the Cholesky factor, which becomes W in place
+    assert max(held["inv"]) <= 3.1 * gram_size
+    # the QP's buffers are freed before the summaries: K and A(q) alone
+    assert max(held["eigvalsh"]) <= 2.1 * gram_size
 
 
 def test_gap_is_none_for_vne_constrained():
